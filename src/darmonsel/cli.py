@@ -14,13 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DarmonselError, OracleMismatch
-from .feasibility import (
-    FeasibilityReport,
-    Kind,
-    feasibility_report,
-    select_gartner,
-    select_greenberg,
-)
+from .feasibility import FeasibilityReport, feasibility_report
 from .fields import _poly_str
 from .oracle import enumerate_admissible
 from .quadratic import PlaceType
@@ -32,10 +26,6 @@ from .serialize import (
     parse_config,
     realize_config,
 )
-
-
-def _fmt_ideal(I) -> str:
-    return str(I)
 
 
 def _fmt_spec(spec) -> str:
@@ -78,124 +68,31 @@ def _trace_header(lines, report):
         f"{'+1' if report.sign == 1 else '-1'}")
 
 
-def _check(lines, label: str, ok: bool, text: str):
-    lines.append(f"    {label} {'ok' if ok else 'FAIL'}: {text}")
-    return ok
+_SECTIONS = (
+    ("gartner", "gartner candidates (one split inert real place, N' = (1)):"),
+    ("greenberg", "greenberg candidates (all inert reals ramified, N' = (p)):"),
+)
 
 
-def _trace_gartner(lines, report, allow_drop_b4: bool):
-    prof = report.profile
-    inert_reals = prof.inert_real_places
-    lines.append("gartner candidates (one split inert real place, N' = (1)):")
-    if not inert_reals:
-        lines.append("    B1 FAIL: no real place of F is inert in K, "
-                     "no candidate exists")
-        return
-    by_tau = {}
-    for s in report.gartner_options:
-        by_tau.setdefault(s.distinguished, []).append(s)
-    inert_primes = [P for P, _ in prof.inert_finite]
-    for tau in inert_reals:
-        ram_real = [v for v in inert_reals if v != tau]
-        lines.append(f"  candidate: distinguished place tau_{tau.index}")
-        _check(lines, "B1", True,
-               f"tau_{tau.index} split in B, inert in K; r_K = 1")
-        if allow_drop_b4:
-            specs = by_tau.get(tau, [])
-            if not specs:
-                lines.append("    (vii)/(viii) FAIL: no subset of inert primes "
-                             "gives an even ramification set with admissible "
-                             "N+ (B4 dropped)")
-                continue
-            for s in specs:
-                note = ("B4 dropped: ramified primes = {"
-                        + (", ".join(str(P) for P in s.ramified_finite) or "")
-                        + "}")
-                _check(lines, "B4", True, note + " (widened mode)")
-                _trace_common_checks(lines, s, prof, relaxed=True)
-                lines.append(f"    accepted -> {_fmt_spec(s)}")
-            continue
-        if not prof.inert_part_squarefree:
-            _check(lines, "B4", False,
-                   "an inert prime divides N with exponent >= 2; it must "
-                   "ramify in B but N- is squarefree")
-            continue
-        _check(lines, "B4", True,
-               "ramified primes = all inert primes dividing N = {"
-               + (", ".join(str(P) for P in inert_primes) or "") + "}")
-        parity = len(ram_real) + len(inert_primes)
-        if not _check(lines, "(vii)", parity % 2 == 0,
-                      f"|ramified| = {len(ram_real)} + {len(inert_primes)} "
-                      f"= {parity}, {'even' if parity % 2 == 0 else 'odd'}"):
-            continue
-        specs = by_tau.get(tau, [])
-        if specs:
-            s = specs[0]
-            _trace_common_checks(lines, s, prof, relaxed=False)
-            lines.append(f"    accepted -> {_fmt_spec(s)}")
-        else:
-            lines.append("    (viii) FAIL: a prime of N+ is not split in K")
-
-
-def _trace_common_checks(lines, spec, prof, relaxed: bool):
-    _check(lines, "A", True, "every ramified place of B is inert in K")
-    _check(lines, "(iv)", True,
-           f"N = N+ N' N- pairwise coprime: {_fmt_spec(spec)}")
-    minus = ", ".join(str(P) for P in spec.n_minus.primes()) or "none"
-    plus = ", ".join(str(P) for P in spec.n_plus.primes()) or "none"
-    if relaxed:
-        _check(lines, "(viii)", True,
-               f"N- primes inert: {minus}; N+ primes unramified: {plus}")
-    else:
-        _check(lines, "(viii)", True,
-               f"N- primes inert: {minus}; N+ primes split: {plus}")
-    _check(lines, "C4" if spec.kind is Kind.GREENBERG else "B3", True,
-           "local optimal-embedding criterion holds at every place "
-           "(checked via (viii), not assumed)")
-
-
-def _trace_greenberg(lines, report):
-    prof = report.profile
-    lines.append("greenberg candidates (all inert reals ramified, N' = (p)):")
-    exact = [P for P, e in prof.inert_finite if e == 1]
-    if not exact:
-        lines.append("    C2 FAIL: no inert prime divides N with exponent "
-                     "exactly 1")
-        return
-    by_prime = {s.distinguished: s for s in report.greenberg_options}
-    inert_reals = prof.inert_real_places
-    for p0 in exact:
-        lines.append(f"  candidate: level-extension prime {p0}")
-        _check(lines, "C2", True, f"{p0} inert and exactly divides N")
-        others = [(P, e) for P, e in prof.inert_finite if P != p0]
-        bad = [f"{P} exponent {e}" for P, e in others if e >= 2]
-        if not _check(lines, "C3", not bad,
-                      ("remaining inert primes each have exponent 1"
-                       if not bad else "remaining inert prime(s) with exponent"
-                       " >= 2: " + ", ".join(bad))):
-            continue
-        _check(lines, "C1", True,
-               "ramified reals = all inert real places {"
-               + (", ".join(f"tau_{v.index}" for v in inert_reals) or "")
-               + "}; r_K = 0")
-        parity = len(inert_reals) + len(others)
-        if not _check(lines, "(vii)", parity % 2 == 0,
-                      f"|ramified| = {len(inert_reals)} + {len(others)} "
-                      f"= {parity}, {'even' if parity % 2 == 0 else 'odd'}"):
-            continue
-        s = by_prime.get(p0)
-        if s is not None:
-            _trace_common_checks(lines, s, prof, relaxed=False)
-            lines.append(f"    accepted -> {_fmt_spec(s)}")
-        else:
-            lines.append("    (viii) FAIL: a prime of N+ is not split in K")
-
-
-def format_trace(report: FeasibilityReport, allow_drop_b4: bool = False) -> str:
+def format_trace(report: FeasibilityReport) -> str:
+    """The human trace: a rendering of the report alone, one line per
+    recorded check, grouped by construction and subject."""
     lines: list[str] = []
     _trace_header(lines, report)
-    _trace_gartner(lines, report, allow_drop_b4)
-    _trace_greenberg(lines, report)
+    specs = {f"{s.kind.value}[{i}]": s
+             for options in (report.gartner_options, report.greenberg_options)
+             for i, s in enumerate(options)}
+    for kind, title in _SECTIONS:
+        lines.append(title)
+        subject = kind
+        for c in report.checks:
+            if not c.subject.startswith(kind):
+                continue
+            if c.subject != subject:
+                subject = c.subject
+                lines.append(f"  {subject} -> {_fmt_spec(specs[subject])}"
+                             if subject in specs else f"  {subject}:")
+            lines.append(f"    {c.label} {'ok' if c.ok else 'FAIL'}: {c.detail}")
     lines.append("assumed without computation: B2 (Jacquet-Langlands "
                  "correspondence); global halves of B3/C4 beyond the local "
                  "criterion")
@@ -223,11 +120,8 @@ def run_single(config: InputConfig):
             precision=Fraction(1, 2 ** config.options.precision_bits),
         )
         if config.options.oracle_check:
-            selected = tuple(sorted(
-                select_gartner(report.profile,
-                               allow_drop_b4=config.options.allow_drop_b4)
-                + select_greenberg(report.profile),
-                key=lambda s: s.sort_key))
+            selected = tuple(sorted(report.gartner_options + report.greenberg_options,
+                                    key=lambda s: s.sort_key))
             enumerated = enumerate_admissible(
                 report.profile, allow_drop_b4=config.options.allow_drop_b4)
             if selected != enumerated:
@@ -236,7 +130,7 @@ def run_single(config: InputConfig):
                     f"{len(enumerated)}")
     except DarmonselError as e:
         return 1, None, f"error: {type(e).__name__}: {e}"
-    trace = format_trace(report, allow_drop_b4=config.options.allow_drop_b4)
+    trace = format_trace(report)
     return (0 if report.feasible else 2), emit_report(report), trace
 
 

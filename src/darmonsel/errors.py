@@ -83,3 +83,8 @@ class OracleMismatch(DarmonselError):
 
 class InputError(DarmonselError):
     """Malformed config, corpus record, or report document."""
+
+
+class InternalInvariant(DarmonselError):
+    """An emitted result fails a structural check the engine guarantees.
+    Raised by code, not by assert, so it also holds under python -O."""

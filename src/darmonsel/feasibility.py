@@ -13,15 +13,18 @@ N = N+ * N' * N- that make one of the two constructions applicable:
              primes dividing N ramify in B.
 
 Infeasibility is data, not an error: selectors return empty lists and the
-report records structured reasons.
+report records structured reasons. Every structural check is evaluated here
+once and recorded as a Check; the failure reasons, the human trace and the
+machine report all read that one log.
 """
 
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import DiscNotCoprime
+from .errors import DiscNotCoprime, InternalInvariant
 from .fields import (DEFAULT_PRECISION, IdealFactorization, PrimeIdeal,
                      RealPlace, real_embeddings)
 from .quadratic import (
@@ -53,6 +56,32 @@ class Reason:
 
 
 @dataclass(frozen=True)
+class Check:
+    """One evaluated structural check.
+
+    label names the assumption (B1, B3, B4, C1..C4, A, (iv), (vii), (viii)).
+    subject is what it was evaluated on: a construction ("gartner"), one of
+    its candidates ("gartner tau_1", "greenberg (2)"), or an emitted spec by
+    kind and position ("greenberg[0]"). A failing check of a label in
+    REASON_OF_LABEL carries the failure reason's text as its detail.
+    """
+
+    label: str
+    subject: str
+    ok: bool
+    detail: str
+
+
+REASON_OF_LABEL = {
+    "B1": ReasonCode.NO_INERT_REAL_PLACE,
+    "B4": ReasonCode.INERT_PART_NOT_SQUAREFREE,
+    "C2": ReasonCode.NO_EXACT_INERT_PRIME,
+    "C3": ReasonCode.INERT_PART_NOT_SQUAREFREE,
+    "(vii)": ReasonCode.PARITY_OBSTRUCTION,
+}
+
+
+@dataclass(frozen=True)
 class ConductorProfile:
     """Everything the selectors need, classified once."""
 
@@ -60,29 +89,26 @@ class ConductorProfile:
     conductor: IdealFactorization
     real_classes: tuple[tuple[RealPlace, PlaceType], ...]
     finite_classes: tuple[tuple[PrimeIdeal, int, PlaceType], ...]
-    inert_real_count: int
-    inert_finite: tuple[tuple[PrimeIdeal, int], ...]
-    inert_part_squarefree: bool
-    disc_coprime: bool
 
-    def __post_init__(self):
-        assert self.inert_real_count == sum(
-            1 for _, t in self.real_classes if t is PlaceType.INERT)
-        assert self.inert_finite == tuple(
-            (P, e) for P, e, t in self.finite_classes if t is PlaceType.INERT)
-        assert self.inert_part_squarefree == all(e == 1 for _, e in self.inert_finite)
-        if self.disc_coprime:
-            assert all(t is not PlaceType.RAMIFIED for _, _, t in self.finite_classes)
-
-    @property
-    def inert_real_places(self):
+    @cached_property
+    def inert_real_places(self) -> tuple[RealPlace, ...]:
         return tuple(v for v, t in self.real_classes if t is PlaceType.INERT)
 
-    def place_type_of(self, P: PrimeIdeal) -> PlaceType:
-        for Q, _, t in self.finite_classes:
-            if Q == P:
-                return t
-        raise KeyError(f"{P} does not divide the conductor")
+    @cached_property
+    def inert_real_count(self) -> int:
+        return len(self.inert_real_places)
+
+    @cached_property
+    def inert_finite(self) -> tuple[tuple[PrimeIdeal, int], ...]:
+        return tuple((P, e) for P, e, t in self.finite_classes if t is PlaceType.INERT)
+
+    @cached_property
+    def inert_part_squarefree(self) -> bool:
+        return all(e == 1 for _, e in self.inert_finite)
+
+    @cached_property
+    def disc_coprime(self) -> bool:
+        return all(t is not PlaceType.RAMIFIED for _, _, t in self.finite_classes)
 
 
 @dataclass(frozen=True)
@@ -132,7 +158,7 @@ class FeasibilityReport:
     sign: int
     gartner_options: tuple[QuaternionAlgebraSpec, ...]
     greenberg_options: tuple[QuaternionAlgebraSpec, ...]
-    failure_reasons: tuple[Reason, ...]
+    checks: tuple[Check, ...]
     theorem1_consistent: bool
     order_conductor: IdealFactorization | None = None
     assumed: tuple[str, ...] = ("B2",)
@@ -144,6 +170,38 @@ class FeasibilityReport:
     @property
     def both_feasible(self) -> bool:
         return bool(self.gartner_options) and bool(self.greenberg_options)
+
+    @cached_property
+    def failure_reasons(self) -> tuple[Reason, ...]:
+        """The reasons of the failing checks, after the report-level ones
+        (ramified primes in N, sign +1) and before the squarefree fallback
+        and the order-conductor clash; duplicates dropped, first kept."""
+        prof = self.profile
+        reasons: list[Reason] = []
+        ramified = [str(P) for P, _, t in prof.finite_classes
+                    if t is PlaceType.RAMIFIED]
+        if ramified:
+            reasons.append(Reason(
+                ReasonCode.DISC_NOT_COPRIME,
+                "conductor meets the relative discriminant at " + ", ".join(ramified)))
+        if self.sign == 1:
+            reasons.append(Reason(ReasonCode.SIGN_PLUS_ONE,
+                                  "functional-equation sign is +1"))
+        reasons.extend(Reason(REASON_OF_LABEL[c.label], c.detail)
+                       for c in self.checks
+                       if not c.ok and c.label in REASON_OF_LABEL)
+        if not prof.inert_part_squarefree and not any(
+                r.code is ReasonCode.INERT_PART_NOT_SQUAREFREE for r in reasons):
+            reasons.append(Reason(ReasonCode.INERT_PART_NOT_SQUAREFREE,
+                                  "an inert prime divides N with exponent >= 2"))
+        order = self.order_conductor
+        if order is not None and not order.coprime_to(prof.conductor):
+            shared = [str(P) for P in order.primes()
+                      if prof.conductor.exponent_of(P) > 0]
+            reasons.append(Reason(
+                ReasonCode.DISC_NOT_COPRIME,
+                "order conductor shares " + ", ".join(shared) + " with N"))
+        return tuple(dict.fromkeys(reasons))
 
 
 def build_profile(K: QuadraticExtension, N: IdealFactorization,
@@ -164,17 +222,8 @@ def build_profile(K: QuadraticExtension, N: IdealFactorization,
         raise DiscNotCoprime(
             "conductor meets the relative discriminant at "
             + ", ".join(str(P) for P in ramified))
-    inert_finite = tuple((P, e) for P, e, t in finite_classes if t is PlaceType.INERT)
-    return ConductorProfile(
-        extension=K,
-        conductor=N,
-        real_classes=real_classes,
-        finite_classes=finite_classes,
-        inert_real_count=sum(1 for _, t in real_classes if t is PlaceType.INERT),
-        inert_finite=inert_finite,
-        inert_part_squarefree=all(e == 1 for _, e in inert_finite),
-        disc_coprime=not ramified,
-    )
+    return ConductorProfile(extension=K, conductor=N, real_classes=real_classes,
+                            finite_classes=finite_classes)
 
 
 def sign_functional_equation(profile: ConductorProfile) -> int:
@@ -183,30 +232,33 @@ def sign_functional_equation(profile: ConductorProfile) -> int:
 
 
 def check_optimal_embedding_local(spec: QuaternionAlgebraSpec,
-                                  profile: ConductorProfile) -> bool:
+                                  profile: ConductorProfile,
+                                  allow_drop_b4: bool = False) -> bool:
     """Local optimal-embedding criterion for O_K into the Eichler order:
     every prime dividing N- must be inert in K, every prime dividing N+
-    split. Selectors enforce this as a post-filter, never by assumption."""
-    for P, _ in spec.n_minus.factors:
-        if profile.place_type_of(P) is not PlaceType.INERT:
-            return False
-    for P, _ in spec.n_plus.factors:
-        if profile.place_type_of(P) is not PlaceType.SPLIT:
-            return False
-    return True
+    split. In widened mode (allow_drop_b4) N+ may also hold inert primes,
+    never ramified ones. Selectors enforce this as a post-filter, never by
+    assumption."""
+    types = {P: t for P, _, t in profile.finite_classes}
+    plus = ((PlaceType.SPLIT, PlaceType.INERT) if allow_drop_b4
+            else (PlaceType.SPLIT,))
+    return (all(types.get(P) is PlaceType.INERT for P in spec.n_minus.primes())
+            and all(types.get(P) in plus for P in spec.n_plus.primes()))
 
 
-def _embedding_check_drop_b4(spec: QuaternionAlgebraSpec,
-                             profile: ConductorProfile) -> bool:
-    # Widened mode: inert primes may sit in N+ (the construction tolerates
-    # f_K > 0 there); split primes are still required split, ramified barred.
-    for P, _ in spec.n_minus.factors:
-        if profile.place_type_of(P) is not PlaceType.INERT:
-            return False
-    for P, _ in spec.n_plus.factors:
-        if profile.place_type_of(P) is PlaceType.RAMIFIED:
-            return False
-    return True
+def _check(log: dict, label: str, subject: str, ok: bool, detail: str) -> bool:
+    # the log is an insertion-ordered set, so a check repeated on many
+    # subsets of one candidate is recorded once
+    log[Check(label, subject, ok, detail)] = None
+    return ok
+
+
+def _parity(log: dict, subject: str, candidate: str, real: int, finite: int) -> bool:
+    total = real + finite
+    return _check(log, "(vii)", subject, total % 2 == 0,
+                  f"|ramified| = {real} + {finite} = {total}, even" if total % 2 == 0
+                  else f"candidate with {candidate} needs {real} + {finite} "
+                       "ramified places, odd")
 
 
 def select_gartner(profile: ConductorProfile,
@@ -218,187 +270,187 @@ def select_gartner(profile: ConductorProfile,
     instead be left split in B (subject to parity), which moves them into N+.
     Infeasibility is the empty tuple; the report records the reasons.
     """
-    return _select_gartner(profile, allow_drop_b4)[0]
+    return _select_gartner(profile, allow_drop_b4, {})
 
 
-def _select_gartner(profile: ConductorProfile, allow_drop_b4: bool = False):
-    reasons: list[Reason] = []
+def _select_gartner(profile: ConductorProfile, allow_drop_b4: bool, log: dict):
     inert_reals = profile.inert_real_places
     if not inert_reals:
-        reasons.append(Reason(ReasonCode.NO_INERT_REAL_PLACE,
-                              "no real place of F is inert in K"))
-        return (), tuple(reasons)
+        _check(log, "B1", "gartner", False, "no real place of F is inert in K")
+        return ()
     inert_primes = tuple(P for P, _ in profile.inert_finite)
     exact_primes = tuple(P for P, e in profile.inert_finite if e == 1)
     specs = []
     for tau in inert_reals:
+        subject = f"gartner tau_{tau.index}"
+        _check(log, "B1", subject, True,
+               f"tau_{tau.index} inert in K, split in B; r_K = 1")
         ram_real = tuple(v for v in inert_reals if v != tau)
         if allow_drop_b4:
-            subsets = [tuple(s) for r in range(len(exact_primes) + 1)
-                       for s in itertools.combinations(exact_primes, r)]
+            pool, sizes = exact_primes, range(len(exact_primes) + 1)
         else:
-            if not profile.inert_part_squarefree:
-                reasons.append(Reason(
-                    ReasonCode.INERT_PART_NOT_SQUAREFREE,
-                    "an inert prime divides N with exponent >= 2, so it "
-                    "cannot ramify in B with N- squarefree"))
+            squarefree = profile.inert_part_squarefree
+            if not _check(log, "B4", subject, squarefree,
+                          "every inert prime of N ramifies in B" if squarefree
+                          else "an inert prime divides N with exponent >= 2, so it "
+                               "cannot ramify in B with N- squarefree"):
                 continue
-            subsets = [inert_primes]
-        for ram_fin in subsets:
-            if (len(ram_real) + len(ram_fin)) % 2:
-                reasons.append(Reason(
-                    ReasonCode.PARITY_OBSTRUCTION,
-                    f"candidate with distinguished {tau} needs "
-                    f"{len(ram_real)} + {len(ram_fin)} ramified places, odd"))
+            pool, sizes = inert_primes, (len(inert_primes),)
+        for size in sizes:
+            # parity depends on the subset size alone; widened mode records
+            # only the odd sizes, since every even one shows up in its specs
+            even = (len(ram_real) + size) % 2 == 0
+            if not (even and allow_drop_b4) and not _parity(
+                    log, subject, f"distinguished {tau}", len(ram_real), size):
                 continue
-            n_minus = IdealFactorization.from_pairs((P, 1) for P in ram_fin)
-            n_plus = profile.conductor.div_exact(n_minus)
-            spec = QuaternionAlgebraSpec(
-                kind=Kind.GARTNER,
-                distinguished=tau,
-                ramified_real=ram_real,
-                ramified_finite=ram_fin,
-                n_plus=n_plus,
-                n_prime=IdealFactorization.unit(),
-                n_minus=n_minus,
-            )
-            check = _embedding_check_drop_b4 if allow_drop_b4 else check_optimal_embedding_local
-            if check(spec, profile):
-                specs.append(spec)
-    return tuple(sorted(specs, key=lambda s: s.sort_key)), tuple(reasons)
+            for ram_fin in itertools.combinations(pool, size):
+                n_minus = IdealFactorization.from_pairs((P, 1) for P in ram_fin)
+                spec = QuaternionAlgebraSpec(
+                    kind=Kind.GARTNER,
+                    distinguished=tau,
+                    ramified_real=ram_real,
+                    ramified_finite=ram_fin,
+                    n_plus=profile.conductor.div_exact(n_minus),
+                    n_prime=IdealFactorization.unit(),
+                    n_minus=n_minus,
+                )
+                if check_optimal_embedding_local(spec, profile, allow_drop_b4):
+                    specs.append(spec)
+                else:
+                    _check(log, "(viii)", subject, False,
+                           "a prime of N+ is " + ("ramified" if allow_drop_b4
+                                                  else "not split") + " in K")
+    return tuple(sorted(specs, key=lambda s: s.sort_key))
 
 
 def select_greenberg(profile: ConductorProfile) -> tuple[QuaternionAlgebraSpec, ...]:
     """Admissible specs for the construction with no split inert real place:
     one inert prime exactly dividing N carries the level extension N'.
     Infeasibility is the empty tuple; the report records the reasons."""
-    return _select_greenberg(profile)[0]
+    return _select_greenberg(profile, {})
 
 
-def _select_greenberg(profile: ConductorProfile):
-    reasons: list[Reason] = []
+def _select_greenberg(profile: ConductorProfile, log: dict):
     exact = [P for P, e in profile.inert_finite if e == 1]
     if not exact:
-        reasons.append(Reason(ReasonCode.NO_EXACT_INERT_PRIME,
-                              "no inert prime divides N with exponent exactly 1"))
-        return (), tuple(reasons)
+        _check(log, "C2", "greenberg", False,
+               "no inert prime divides N with exponent exactly 1")
+        return ()
     inert_reals = profile.inert_real_places
     specs = []
     for p0 in exact:
+        subject = f"greenberg {p0}"
+        _check(log, "C2", subject, True, "inert in K, exactly divides N")
         others = tuple((P, e) for P, e in profile.inert_finite if P != p0)
-        if any(e >= 2 for _, e in others):
-            reasons.append(Reason(
-                ReasonCode.INERT_PART_NOT_SQUAREFREE,
-                f"with N' = {p0} some remaining inert prime has exponent >= 2"))
+        squarefree = all(e == 1 for _, e in others)
+        if not _check(log, "C3", subject, squarefree,
+                      "remaining inert primes each have exponent 1" if squarefree
+                      else f"with N' = {p0} some remaining inert prime has "
+                           "exponent >= 2"):
             continue
+        reals = ", ".join(f"tau_{v.index}" for v in inert_reals)
+        _check(log, "C1", subject, True,
+               f"ramified reals = all inert real places {{{reals}}}; r_K = 0")
         ram_fin = tuple(P for P, _ in others)
-        if (len(inert_reals) + len(ram_fin)) % 2:
-            reasons.append(Reason(
-                ReasonCode.PARITY_OBSTRUCTION,
-                f"candidate with N' = {p0} needs {len(inert_reals)} + "
-                f"{len(ram_fin)} ramified places, odd"))
+        if not _parity(log, subject, f"N' = {p0}", len(inert_reals), len(ram_fin)):
             continue
         n_prime = IdealFactorization.from_pairs([(p0, 1)])
         n_minus = IdealFactorization.from_pairs((P, 1) for P in ram_fin)
-        n_plus = profile.conductor.div_exact(n_minus.mul(n_prime))
         spec = QuaternionAlgebraSpec(
             kind=Kind.GREENBERG,
             distinguished=p0,
             ramified_real=inert_reals,
             ramified_finite=ram_fin,
-            n_plus=n_plus,
+            n_plus=profile.conductor.div_exact(n_minus.mul(n_prime)),
             n_prime=n_prime,
             n_minus=n_minus,
         )
         if check_optimal_embedding_local(spec, profile):
             specs.append(spec)
-    return tuple(sorted(specs, key=lambda s: s.sort_key)), tuple(reasons)
+        else:
+            _check(log, "(viii)", subject, False, "a prime of N+ is not split in K")
+    return tuple(sorted(specs, key=lambda s: s.sort_key))
 
 
 def validate_spec(spec: QuaternionAlgebraSpec, profile: ConductorProfile,
-                  allow_drop_b4: bool = False) -> None:
-    """Assert every structural requirement of an emitted spec. Used by the
-    report assembly and the test suite; raises AssertionError on violation."""
-    # ramification parity (the algebra must exist)
-    assert (len(spec.ramified_real) + len(spec.ramified_finite)) % 2 == 0
-    # every ramified place inert in K (K embeds in B)
+                  allow_drop_b4: bool = False,
+                  position: int = 0) -> tuple[Check, ...]:
+    """Evaluate every structural requirement of an emitted spec: A, (iv),
+    (viii) and B3/C4, plus the B4 waiver in widened mode. Returns the checks,
+    whose subject names the spec by kind and position; raises
+    InternalInvariant if any fails."""
+    subject = f"{spec.kind.value}[{position}]"
     inert_reals = set(profile.inert_real_places)
-    assert all(v in inert_reals for v in spec.ramified_real)
-    for P in spec.ramified_finite:
-        assert profile.place_type_of(P) is PlaceType.INERT
-    # level splitting: N = N+ N' N-, pairwise coprime, N- squarefree
-    assert spec.n_plus.mul(spec.n_prime).mul(spec.n_minus) == profile.conductor
-    assert spec.n_plus.coprime_to(spec.n_prime)
-    assert spec.n_plus.coprime_to(spec.n_minus)
-    assert spec.n_prime.coprime_to(spec.n_minus)
-    assert spec.n_minus.all_exponents_one()
-    # local embedding criterion
-    if allow_drop_b4:
-        assert _embedding_check_drop_b4(spec, profile)
-    else:
-        assert check_optimal_embedding_local(spec, profile)
-    # kind shape
+    inert_primes = {P for P, _ in profile.inert_finite}
+    # the algebra exists (even ramification set) and K embeds in it
+    a_ok = ((len(spec.ramified_real) + len(spec.ramified_finite)) % 2 == 0
+            and inert_reals.issuperset(spec.ramified_real)
+            and inert_primes.issuperset(spec.ramified_finite))
+    # Eichler level: N = N+ N' N- pairwise coprime, N- = disc(B) squarefree
+    iv_ok = (spec.n_plus.mul(spec.n_prime).mul(spec.n_minus) == profile.conductor
+             and spec.n_plus.coprime_to(spec.n_prime)
+             and spec.n_plus.coprime_to(spec.n_minus)
+             and spec.n_prime.coprime_to(spec.n_minus)
+             and spec.n_minus.all_exponents_one()
+             and spec.n_minus.primes() == spec.ramified_finite)
+    viii_ok = check_optimal_embedding_local(spec, profile, allow_drop_b4)
+    d = spec.distinguished
     if spec.kind is Kind.GARTNER:
-        assert isinstance(spec.distinguished, RealPlace)
-        assert spec.distinguished in inert_reals
-        assert set(spec.ramified_real) == inert_reals - {spec.distinguished}
-        if not allow_drop_b4:
-            assert set(spec.ramified_finite) == {P for P, _ in profile.inert_finite}
+        shape = (isinstance(d, RealPlace) and d in inert_reals
+                 and set(spec.ramified_real) == inert_reals - {d}
+                 and spec.n_prime.is_unit
+                 and (allow_drop_b4 or set(spec.ramified_finite) == inert_primes))
     else:
-        assert isinstance(spec.distinguished, PrimeIdeal)
-        assert set(spec.ramified_real) == inert_reals
-        assert profile.conductor.exponent_of(spec.distinguished) == 1
-        assert set(spec.ramified_finite) == {
-            P for P, _ in profile.inert_finite} - {spec.distinguished}
+        shape = (isinstance(d, PrimeIdeal) and d in inert_primes
+                 and spec.n_prime.factors == ((d, 1),)
+                 and profile.conductor.exponent_of(d) == 1
+                 and set(spec.ramified_real) == inert_reals
+                 and set(spec.ramified_finite) == inert_primes - {d})
+    checks = []
+    if allow_drop_b4 and spec.kind is Kind.GARTNER:
+        checks.append(Check("B4", subject, True, "dropped"))
+    checks += [
+        Check("A", subject, a_ok, "even, all inert in K"),
+        Check("(iv)", subject, iv_ok, "N = N+ N' N-, coprime"),
+        Check("(viii)", subject, viii_ok,
+              "N- inert, N+ " + ("unramified" if allow_drop_b4 else "split")),
+        Check("B3" if spec.kind is Kind.GARTNER else "C4", subject,
+              shape and a_ok and viii_ok, "optimal embedding"),
+    ]
+    failed = [c.label for c in checks if not c.ok]
+    if failed:
+        raise InternalInvariant(f"{subject} fails {', '.join(failed)}")
+    return tuple(checks)
 
 
 def feasibility_report(K: QuadraticExtension, N: IdealFactorization, *,
                        order_conductor: IdealFactorization | None = None,
                        allow_drop_b4: bool = False,
                        precision: Fraction = DEFAULT_PRECISION) -> FeasibilityReport:
-    """Full decision: profile, sign, both selectors, consistency flags.
+    """Full decision: profile, sign, both selectors, the check log and the
+    consistency flag.
 
     Never raises on infeasible input; obstructions land in failure_reasons.
     """
     profile = build_profile(K, N, strict=False, precision=precision)
-    reasons: list[Reason] = []
-    if not profile.disc_coprime:
-        ramified = [P for P, _, t in profile.finite_classes if t is PlaceType.RAMIFIED]
-        reasons.append(Reason(
-            ReasonCode.DISC_NOT_COPRIME,
-            "conductor meets the relative discriminant at "
-            + ", ".join(str(P) for P in ramified)))
     sign = sign_functional_equation(profile)
-    if sign == 1:
-        reasons.append(Reason(ReasonCode.SIGN_PLUS_ONE,
-                              "functional-equation sign is +1"))
-    gartner, g_reasons = _select_gartner(profile, allow_drop_b4=allow_drop_b4)
-    greenberg, h_reasons = _select_greenberg(profile)
-    reasons.extend(g_reasons)
-    reasons.extend(h_reasons)
-    if not profile.inert_part_squarefree and not any(
-            r.code is ReasonCode.INERT_PART_NOT_SQUAREFREE for r in reasons):
-        reasons.append(Reason(ReasonCode.INERT_PART_NOT_SQUAREFREE,
-                              "an inert prime divides N with exponent >= 2"))
-    for spec in gartner + greenberg:
-        validate_spec(spec, profile, allow_drop_b4=allow_drop_b4)
-    if order_conductor is not None and not order_conductor.coprime_to(N):
-        shared = [str(P) for P in order_conductor.primes()
-                  if N.exponent_of(P) > 0]
-        reasons.append(Reason(
-            ReasonCode.DISC_NOT_COPRIME,
-            "order conductor shares " + ", ".join(shared) + " with N"))
+    log: dict[Check, None] = {}
+    gartner = _select_gartner(profile, allow_drop_b4, log)
+    greenberg = _select_greenberg(profile, log)
+    checks = list(log)
+    for specs in (gartner, greenberg):
+        for position, spec in enumerate(specs):
+            checks.extend(validate_spec(spec, profile, allow_drop_b4, position))
     options = gartner + greenberg
     consistent = ((not options or sign == -1)
                   and (not (sign == -1 and profile.inert_part_squarefree
                             and profile.disc_coprime) or bool(options)))
-    deduped = tuple(dict.fromkeys(reasons))
     return FeasibilityReport(
         profile=profile,
         sign=sign,
         gartner_options=gartner,
         greenberg_options=greenberg,
-        failure_reasons=deduped,
+        checks=tuple(checks),
         theorem1_consistent=consistent,
         order_conductor=order_conductor,
     )

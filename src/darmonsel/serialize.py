@@ -12,12 +12,11 @@ from fractions import Fraction
 
 from .errors import InputError
 from .feasibility import (
+    Check,
     ConductorProfile,
     FeasibilityReport,
     Kind,
     QuaternionAlgebraSpec,
-    Reason,
-    ReasonCode,
 )
 from .fields import (
     IdealFactorization,
@@ -136,11 +135,7 @@ def _ideal_from_doc(F: NumberField, doc: dict, what: str) -> IdealFactorization:
         _require(isinstance(entry, dict)
                  and set(entry) == {"p", "local_factor", "e", "f", "exponent"},
                  f"each {what} factor needs keys p, local_factor, e, f, exponent")
-        P = PrimeIdeal(p=entry["p"],
-                       local_factor=_int_list(entry["local_factor"],
-                                              f"{what}.local_factor"),
-                       e=entry["e"], f=entry["f"])
-        pairs.append((P, entry["exponent"]))
+        pairs.append((_prime_from(entry), entry["exponent"]))
     return factor_ideal(F, factors=pairs)
 
 
@@ -191,7 +186,10 @@ def _prime_doc(P: PrimeIdeal) -> dict:
 
 
 def _prime_from(doc: dict) -> PrimeIdeal:
-    return PrimeIdeal(p=doc["p"], local_factor=tuple(doc["local_factor"]),
+    _require(all(type(doc[key]) is int for key in ("p", "e", "f")),
+             "prime ideal p, e and f must be integers")
+    return PrimeIdeal(p=doc["p"],
+                      local_factor=_int_list(doc["local_factor"], "local_factor"),
                       e=doc["e"], f=doc["f"])
 
 
@@ -291,8 +289,9 @@ def report_to_doc(report: FeasibilityReport) -> dict:
         "sign": report.sign,
         "gartner_options": [_spec_doc(s) for s in report.gartner_options],
         "greenberg_options": [_spec_doc(s) for s in report.greenberg_options],
-        "failure_reasons": [{"code": r.code.value, "detail": r.detail}
-                            for r in report.failure_reasons],
+        "checks": [{"label": c.label, "subject": c.subject, "ok": c.ok,
+                    "detail": c.detail} for c in report.checks],
+        "failure_reasons": _reasons_doc(report),
         "theorem1_consistent": report.theorem1_consistent,
         "assumed": list(report.assumed),
         "order_conductor": (_ideal_doc(report.order_conductor)
@@ -305,11 +304,44 @@ def emit_report(report: FeasibilityReport) -> str:
     return json.dumps(report_to_doc(report), indent=2, sort_keys=True)
 
 
+def _reasons_doc(report: FeasibilityReport) -> list:
+    return [{"code": r.code.value, "detail": r.detail} for r in report.failure_reasons]
+
+
+_CHECK_TYPES = {"label": str, "subject": str, "ok": bool, "detail": str}
+
+
+def _check_from(doc) -> Check:
+    _require(isinstance(doc, dict) and set(doc) == set(_CHECK_TYPES)
+             and all(type(doc[k]) is t for k, t in _CHECK_TYPES.items()),
+             "each check needs string label, subject and detail and boolean ok")
+    return Check(**doc)
+
+
 def parse_report(text: str) -> FeasibilityReport:
-    doc = json.loads(text)
+    """Read a report document back. Anything malformed, including a derived
+    key (profile counts, failure_reasons) that contradicts the data it is
+    derived from, raises InputError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"report is not valid JSON: {e}") from None
+    _require(isinstance(doc, dict), "report must be a JSON object")
     _require(doc.get("schema_version") == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}")
     _require(doc.get("kind") == "feasibility_report", "not a feasibility report")
+    _require("checks" in doc, "report has no checks: it was written before "
+             "reports carried the check log; regenerate it")
+    try:
+        return _report_from(doc)
+    except (AssertionError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as e:
+        # a missing key, a wrong type or an unknown enum value somewhere in
+        # the document; the record constructors check shapes with assert
+        raise InputError(f"malformed report: {type(e).__name__}: {e}") from None
+
+
+def _report_from(doc: dict) -> FeasibilityReport:
     base = _field_from(doc["field"])
     cert_doc = doc["delta_nonsquare_certificate"]
     K = QuadraticExtension(
@@ -323,30 +355,38 @@ def parse_report(text: str) -> FeasibilityReport:
     finite_classes = tuple(
         (_prime_from(entry), entry["exponent"], PlaceType(entry["type"]))
         for entry in doc["finite_classes"])
-    inert_finite = tuple((P, e) for P, e, t in finite_classes
-                         if t is PlaceType.INERT)
     profile = ConductorProfile(
         extension=K,
         conductor=_ideal_from(doc["conductor"]),
         real_classes=real_classes,
         finite_classes=finite_classes,
-        inert_real_count=doc["inert_real_count"],
-        inert_finite=inert_finite,
-        inert_part_squarefree=doc["inert_part_squarefree"],
-        disc_coprime=doc["disc_coprime"],
     )
+    for key in ("inert_real_count", "inert_part_squarefree", "disc_coprime"):
+        derived = getattr(profile, key)
+        _require(type(doc[key]) is type(derived) and doc[key] == derived,
+                 f"{key} contradicts the classified places")
+    _require(type(doc["sign"]) is int and doc["sign"] in (1, -1),
+             "sign must be 1 or -1")
+    _require(type(doc["theorem1_consistent"]) is bool,
+             "theorem1_consistent must be a boolean")
+    _require(isinstance(doc["assumed"], list)
+             and all(isinstance(a, str) for a in doc["assumed"]),
+             "assumed must be a list of strings")
+    _require(isinstance(doc["checks"], list), "checks must be a list")
     places_by_index = {v.index: v for v, _ in real_classes}
     order = doc["order_conductor"]
-    return FeasibilityReport(
+    report = FeasibilityReport(
         profile=profile,
         sign=doc["sign"],
         gartner_options=tuple(_spec_from(d, places_by_index)
                               for d in doc["gartner_options"]),
         greenberg_options=tuple(_spec_from(d, places_by_index)
                                 for d in doc["greenberg_options"]),
-        failure_reasons=tuple(Reason(ReasonCode(r["code"]), r["detail"])
-                              for r in doc["failure_reasons"]),
+        checks=tuple(_check_from(c) for c in doc["checks"]),
         theorem1_consistent=doc["theorem1_consistent"],
         order_conductor=_ideal_from(order) if order is not None else None,
         assumed=tuple(doc["assumed"]),
     )
+    _require(doc["failure_reasons"] == _reasons_doc(report),
+             "failure_reasons do not match the failing checks")
+    return report

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -245,3 +251,65 @@ def test_theorem_properties_random_rational(m):
     assert rep.theorem1_consistent
     for s in rep.gartner_options + rep.greenberg_options:
         validate_spec(s, prof)
+
+
+def test_embedding_check_widened_mode(K_sqrt5, rational_ideal):
+    # N = 2 * 3 * 11: (2) and (3) inert, (11) split. A greenberg spec with
+    # (3) in N+ is locally admissible only when N+ may hold inert primes.
+    prof = build_profile(K_sqrt5, rational_ideal(66))
+    (P2, _), (P3, _), (P11, _) = prof.conductor.factors
+    spec = QuaternionAlgebraSpec(
+        kind=Kind.GREENBERG,
+        distinguished=P2,
+        ramified_real=(),
+        ramified_finite=(),
+        n_plus=IdealFactorization.from_pairs([(P3, 1), (P11, 1)]),
+        n_prime=IdealFactorization.from_pairs([(P2, 1)]),
+        n_minus=IdealFactorization.unit(),
+    )
+    assert not check_optimal_embedding_local(spec, prof)
+    assert check_optimal_embedding_local(spec, prof, allow_drop_b4=True)
+
+
+def test_validate_spec_returns_named_checks(K_sqrt5, rational_ideal):
+    prof = build_profile(K_sqrt5, rational_ideal(22))
+    (spec,) = select_greenberg(prof)
+    checks = validate_spec(spec, prof, position=0)
+    assert [(c.label, c.subject, c.ok) for c in checks] == [
+        ("A", "greenberg[0]", True), ("(iv)", "greenberg[0]", True),
+        ("(viii)", "greenberg[0]", True), ("C4", "greenberg[0]", True)]
+
+
+def test_validate_spec_raises_internal_invariant_under_optimize():
+    # N+ holds the inert prime (3) with drop-B4 off: the spec satisfies its
+    # own constructor but not the local embedding criterion. The check must
+    # not depend on assert, which python -O strips.
+    script = textwrap.dedent("""
+        import sys
+        from darmonsel import (IdealFactorization, InternalInvariant, Kind,
+                               QuaternionAlgebraSpec, build_profile,
+                               factor_ideal, make_extension, parse_field)
+        from darmonsel.feasibility import validate_spec
+        assert False, "asserts must be stripped"
+        F = parse_field([0, 1])
+        prof = build_profile(make_extension(F, [5]), factor_ideal(F, generator=[66]))
+        (P2, _), (P3, _), (P11, _) = prof.conductor.factors
+        spec = QuaternionAlgebraSpec(
+            kind=Kind.GREENBERG, distinguished=P2, ramified_real=(),
+            ramified_finite=(),
+            n_plus=IdealFactorization.from_pairs([(P3, 1), (P11, 1)]),
+            n_prime=IdealFactorization.from_pairs([(P2, 1)]),
+            n_minus=IdealFactorization.unit())
+        try:
+            validate_spec(spec, prof)
+        except InternalInvariant as e:
+            print("InternalInvariant:", e)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("InternalInvariant: greenberg[0] fails (viii), C4")

@@ -1,10 +1,14 @@
+import copy
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from darmonsel.errors import InputError
+from darmonsel.errors import DarmonselError, InputError
 from darmonsel.feasibility import feasibility_report
-from darmonsel.fields import IdealFactorization, primes_above
+from darmonsel.fields import IdealFactorization, factor_ideal, parse_field, primes_above
+from darmonsel.quadratic import make_extension
 from darmonsel.serialize import (
     InputConfig,
     Options,
@@ -127,3 +131,89 @@ def test_report_roundtrip_with_order_and_explicit_primes(F_sqrt2_full):
 def test_report_roundtrip_ramified_input(K_sqrt5, rational_ideal):
     rep = feasibility_report(K_sqrt5, rational_ideal(15))
     assert parse_report(emit_report(rep)) == rep
+
+
+@functools.cache
+def valid_report_docs():
+    F = parse_field([0, 1])
+    K5 = make_extension(F, [5])
+    F2 = parse_field([-2, 0, 1])
+    atr = make_extension(F2, [0, 1])
+    inert = [P for p in (3, 5) for P in primes_above(F2, p)]
+    reports = [
+        feasibility_report(K5, factor_ideal(F, generator=[22])),
+        feasibility_report(K5, factor_ideal(F, generator=[60]),
+                           order_conductor=factor_ideal(F, generator=[3])),
+        feasibility_report(atr, IdealFactorization.from_pairs(
+            (P, 1) for P in inert), allow_drop_b4=True),
+    ]
+    return [json.loads(emit_report(rep)) for rep in reports]
+
+
+def _key_paths(node, path=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+RETYPED = [None, "x", "1/0", 1.5, -1, 0, True, [], [1], {}, {"p": 2}]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_report_mutations_raise_only_typed_errors(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(valid_report_docs())))
+    path = data.draw(st.sampled_from(list(_key_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    action = data.draw(st.sampled_from(["delete"] + RETYPED))
+    if action == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = action
+    try:
+        parse_report(json.dumps(doc))
+    except DarmonselError:
+        pass
+
+
+def test_parse_report_malformed_documents():
+    text = emit_report(feasibility_report(
+        make_extension(parse_field([0, 1]), [5]),
+        factor_ideal(parse_field([0, 1]), generator=[6])))
+    good = json.loads(text)
+    assert parse_report(text).failure_reasons
+    mutations = [
+        lambda d: d.pop("sign"),
+        lambda d: d.update(field=None),
+        lambda d: d.update(sign=0),
+        lambda d: d.update(inert_real_count=1),
+        lambda d: d.update(disc_coprime=False),
+        lambda d: d.update(inert_part_squarefree=1),
+        lambda d: d["real_classes"][0].update(type="wild"),
+        lambda d: d["failure_reasons"][0].update(code="NoSuchCode"),
+        lambda d: d["failure_reasons"].pop(),
+        lambda d: d["checks"][0].update(ok="yes"),
+        lambda d: d["checks"][0].pop("detail"),
+        lambda d: d["checks"].append({"label": "(vii)", "subject": "greenberg",
+                                      "ok": False, "detail": "odd"}),
+    ]
+    for mutate in mutations:
+        doc = copy.deepcopy(good)
+        mutate(doc)
+        with pytest.raises(InputError):
+            parse_report(json.dumps(doc))
+    older = copy.deepcopy(good)
+    del older["checks"]
+    with pytest.raises(InputError, match="regenerate"):
+        parse_report(json.dumps(older))
+    for text in ("{not json", "[]", "null"):
+        with pytest.raises(InputError):
+            parse_report(text)
+    spec_doc = copy.deepcopy(valid_report_docs()[0])
+    spec_doc["greenberg_options"][0]["kind"] = "other"
+    with pytest.raises(InputError):
+        parse_report(json.dumps(spec_doc))
