@@ -19,6 +19,7 @@ from .fields import _poly_str
 from .oracle import enumerate_admissible
 from .quadratic import PlaceType
 from .serialize import (
+    MAX_PRECISION_BITS,
     InputConfig,
     Options,
     config_from_doc,
@@ -145,7 +146,10 @@ def _safe_name(rid: str) -> str:
 
 def run_batch(corpus_path: str, output_dir: str,
               override: Options | None = None):
-    """(exit_code, summary_doc). Writes per-record reports and summary.json."""
+    """(exit_code, summary_doc). Writes per-record reports and summary.json.
+
+    override carries the command-line flags: its booleans switch a record's
+    options on, and its precision_bits replaces each record's unless None."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -191,17 +195,14 @@ def run_batch(corpus_path: str, output_dir: str,
     return (1 if any_error else 0), summary
 
 
-_SENTINEL = Options()
-
-
 def _merge_options(base: Options, override: Options) -> Options:
-    # command-line flags strengthen per-record options, never weaken them
+    # command-line flags strengthen per-record options, never weaken them; a
+    # given precision replaces the record's, None keeps it
     return Options(
         allow_drop_b4=base.allow_drop_b4 or override.allow_drop_b4,
         oracle_check=base.oracle_check or override.oracle_check,
-        precision_bits=(override.precision_bits
-                        if override.precision_bits != _SENTINEL.precision_bits
-                        else base.precision_bits),
+        precision_bits=(base.precision_bits if override.precision_bits is None
+                        else override.precision_bits),
     )
 
 
@@ -224,8 +225,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="widen the gartner selector: inert primes may "
                              "stay unramified in B, subject to parity")
     parser.add_argument("--precision-bits", type=int, default=None,
-                        help="width bound 2^-bits for real-place intervals "
-                             "(default 32)")
+                        help="width bound 2^-bits for real-place intervals, "
+                             f"1 to {MAX_PRECISION_BITS}; replaces each "
+                             "record's precision_bits (default: the "
+                             "record's, else 32)")
     parser.add_argument("--trace", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="print the human-readable decision trace to "
@@ -235,15 +238,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.precision_bits is not None and args.precision_bits < 1:
-        print("error: --precision-bits must be >= 1", file=sys.stderr)
+    try:
+        override = Options(allow_drop_b4=args.allow_drop_b4,
+                           oracle_check=args.oracle,
+                           precision_bits=args.precision_bits)
+    except DarmonselError as e:
+        print(f"error: --precision-bits: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    override = Options(
-        allow_drop_b4=args.allow_drop_b4,
-        oracle_check=args.oracle,
-        precision_bits=(args.precision_bits if args.precision_bits is not None
-                        else _SENTINEL.precision_bits),
-    )
     if args.batch:
         if not args.out:
             print("error: --batch requires --out OUTPUT_DIR", file=sys.stderr)

@@ -27,12 +27,7 @@ from functools import cached_property
 from .errors import DiscNotCoprime, InternalInvariant
 from .fields import (DEFAULT_PRECISION, IdealFactorization, PrimeIdeal,
                      RealPlace, real_embeddings)
-from .quadratic import (
-    PlaceType,
-    QuadraticExtension,
-    classify_conductor,
-    classify_real_place,
-)
+from .quadratic import PlaceType, QuadraticExtension, classify_conductor
 
 
 class Kind(Enum):
@@ -212,10 +207,11 @@ def build_profile(K: QuadraticExtension, N: IdealFactorization,
     strict (the default) raises DiscNotCoprime as soon as a prime of N
     ramifies in K; strict=False records the ramification in the profile
     instead, for report assembly. precision bounds the reported root
-    interval widths; classification itself refines further as needed.
+    interval widths; the classes read the extension's signs of delta.
     """
     real_classes = tuple(
-        (v, classify_real_place(K, v)) for v in real_embeddings(K.base, precision))
+        (v, PlaceType.SPLIT if s > 0 else PlaceType.INERT)
+        for v, s in zip(real_embeddings(K.base, precision), K.real_signs))
     finite_classes = classify_conductor(K, N)
     ramified = [P for P, _, t in finite_classes if t is PlaceType.RAMIFIED]
     if ramified and strict:

@@ -2,13 +2,16 @@
 
 A field is presented as Q[x]/(f) with f monic, integer, irreducible, totally
 real, of degree at most 4. Real places are certified root intervals with
-rational endpoints; finite primes are Kummer-Dedekind data (p, local factor,
-e, f). Primes over p dividing disc(f) are not certified by mod-p factorization
-and must be registered explicitly by the caller.
+rational endpoints: the field isolates its roots once, and real_embeddings
+narrows those intervals to a requested width. Finite primes are
+Kummer-Dedekind data (p, local factor, e, f). Primes over p dividing disc(f)
+are not certified by mod-p factorization and must be registered explicitly
+by the caller.
 """
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from . import polyarith, polymod
 from .errors import (
@@ -115,6 +118,11 @@ class NumberField:
     # explicit Kummer-Dedekind data registered for warned primes
     explicit_primes: tuple[tuple[int, tuple[PrimeIdeal, ...]], ...] = field(default=())
 
+    @cached_property
+    def root_intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Isolating interval of each real root, ascending: one per real place."""
+        return tuple(polyarith.isolate_real_roots(self.defining_poly))
+
     def explicit_for(self, p: int):
         for q, primes in self.explicit_primes:
             if q == p:
@@ -182,34 +190,27 @@ def parse_field(coeffs) -> NumberField:
         raise DegreeUnsupported(f"degree {d} > 4: exact kernels are capped at quartics")
     if not polyarith.is_irreducible_monic_int(poly):
         raise NotIrreducible(f"{_poly_str(poly)} factors over Q")
-    if polyarith.count_real_roots(poly) != d:
-        raise NotTotallyReal(f"{_poly_str(poly)} has non-real roots")
     disc = polyarith.discriminant(poly)
     assert disc != 0
     warned = frozenset(factorize(abs(disc)))
-    return NumberField(degree=d, defining_poly=poly, poly_disc=disc,
-                       index_warning_primes=warned)
+    F = NumberField(degree=d, defining_poly=poly, poly_disc=disc,
+                    index_warning_primes=warned)
+    if len(F.root_intervals) != d:
+        raise NotTotallyReal(f"{_poly_str(poly)} has non-real roots")
+    return F
 
 
 def real_embeddings(F: NumberField, precision: Fraction = DEFAULT_PRECISION):
-    """All real places, one per root, intervals sorted ascending, index 1..d."""
-    intervals = polyarith.isolate_real_roots(F.defining_poly, precision)
-    assert len(intervals) == F.degree
-    places = tuple(
-        RealPlace(index=i + 1, lo=lo, hi=hi, precision=precision)
-        for i, (lo, hi) in enumerate(intervals)
-    )
+    """All real places, one per root, intervals sorted ascending, index 1..d:
+    the field's isolating intervals bisected down to width <= precision."""
+    places = []
+    for index, (lo, hi) in enumerate(F.root_intervals, start=1):
+        if lo != hi:
+            lo, hi = polyarith.refine_sign_change(F.defining_poly, lo, hi, precision)
+        places.append(RealPlace(index=index, lo=lo, hi=hi, precision=precision))
     for a, b in zip(places, places[1:]):
         assert a.hi < b.lo, "isolating intervals must be disjoint"
-    return places
-
-
-def refine_place(F: NumberField, place: RealPlace, precision: Fraction) -> RealPlace:
-    """Shrink a place's interval; returns a new RealPlace, input unchanged."""
-    if place.lo == place.hi or place.width <= precision:
-        return replace(place, precision=min(precision, place.precision))
-    lo, hi = polyarith.refine_sign_change(F.defining_poly, place.lo, place.hi, precision)
-    return RealPlace(index=place.index, lo=lo, hi=hi, precision=precision)
+    return tuple(places)
 
 
 def primes_above(F: NumberField, p: int):

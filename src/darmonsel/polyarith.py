@@ -10,21 +10,11 @@ from fractions import Fraction
 
 from .errors import PrecisionExhausted
 from .intmath import factorize, is_perfect_square
+from .polymod import deg, trim
 import math
 
 # depth limit for all certified bisection loops
 MIN_WIDTH = Fraction(1, 2**256)
-
-
-def trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def deg(c) -> int:
-    return len(c) - 1
 
 
 def add(a, b):
@@ -178,14 +168,6 @@ def sturm_count_halfopen(chain, a, b) -> int:
     return va - vb
 
 
-def count_real_roots(f) -> int:
-    """Number of distinct real roots, via Sturm signs at -inf/+inf."""
-    chain = sturm_chain(f)
-    at_pos = _variations([_sign(p[-1]) for p in chain])
-    at_neg = _variations([_sign(p[-1]) * (-1 if deg(p) % 2 else 1) for p in chain])
-    return at_neg - at_pos
-
-
 def cauchy_bound(f) -> int:
     """Integer M with all real roots of f inside (-M, M)."""
     lead = abs(f[-1])
@@ -193,13 +175,14 @@ def cauchy_bound(f) -> int:
     return 1 + math.ceil(Fraction(top, lead)) + 1
 
 
-def isolate_real_roots(f, width: Fraction):
+def isolate_real_roots(f):
     """Isolating intervals for every real root of f, sorted ascending.
 
     f must be squarefree with no rational roots unless deg(f) == 1 (the only
-    callers are irreducible polynomials). Each interval (lo, hi) satisfies
-    f(lo)*f(hi) < 0 and hi - lo <= width; a linear f yields the degenerate
-    exact interval (r, r).
+    callers are irreducible polynomials). Each interval (lo, hi) is a bisection
+    cell of (-M, M] holding exactly one root, with f(lo)*f(hi) < 0; a linear f
+    yields the degenerate exact interval (r, r). refine_sign_change narrows
+    them.
     """
     if deg(f) == 1:
         r = Fraction(-f[0], f[1])
@@ -221,12 +204,11 @@ def isolate_real_roots(f, width: Fraction):
         left = sturm_count_halfopen(chain, lo, mid)
         stack.append((lo, mid, left))
         stack.append((mid, hi, k - left))
-    out = []
-    for lo, hi in sorted(done):
+    done.sort()
+    for lo, hi in done:
         # a single simple root inside forces opposite endpoint signs
         assert _sign(eval_at(f, lo)) * _sign(eval_at(f, hi)) < 0
-        out.append(refine_sign_change(f, lo, hi, width))
-    return out
+    return done
 
 
 def refine_sign_change(f, lo: Fraction, hi: Fraction, width: Fraction):

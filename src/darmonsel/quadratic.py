@@ -1,10 +1,11 @@
 """Quadratic extensions K = F(sqrt(delta)) and place classification.
 
 delta is an integer polynomial in theta, reduced mod the defining polynomial.
-Real places are classified by the certified sign of delta at the root
-interval; finite primes by valuation parity plus the residue character of the
-unit part (odd p), or by exhaustive square testing at the precision where
-2-adic squares stabilize (p = 2). Everything is exact.
+Real places are classified by the certified sign of delta on each of the
+field's isolating intervals, computed once per extension; finite primes by
+valuation parity plus the residue character of the unit part (odd p), or by
+exhaustive square testing at the precision where 2-adic squares stabilize
+(p = 2). Everything is exact.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from . import polyarith, polymod
 from .errors import (
@@ -26,7 +28,6 @@ from .fields import (
     IdealFactorization,
     NumberField,
     PrimeIdeal,
-    RealPlace,
     primes_above,
     real_embeddings,
 )
@@ -49,6 +50,15 @@ class QuadraticExtension:
     delta: tuple[int, ...]
     certificate: PrimeIdeal | None = None
 
+    @cached_property
+    def real_signs(self) -> tuple[int, ...]:
+        """Certified sign of delta at each real place of the base, in place
+        order; a place splits in K iff the sign is +1 (real places never
+        ramify in a quadratic extension generated by a nonzero element)."""
+        f = self.base.defining_poly
+        return tuple(polyarith.sign_at_root(self.delta, f, lo, hi)[0]
+                     for lo, hi in self.base.root_intervals)
+
     def __str__(self):
         return f"{self.base}(sqrt({self.delta}))"
 
@@ -70,13 +80,15 @@ def make_extension(F: NumberField, delta_coeffs) -> QuadraticExtension:
     delta = polyarith.reduce_mod_poly(coeffs, F.defining_poly)
     if not delta:
         raise ZeroDelta("delta = 0 in Z[theta]")
-    signs = _real_signs(F, delta)
-    if all(s < 0 for s in signs):
+    # built before its certificate is known, and returned itself (never a
+    # copy, which would drop the cached signs) so build_profile reuses them
+    K = QuadraticExtension(base=F, delta=delta)
+    if all(s < 0 for s in K.real_signs):
         raise NoRealPlace("delta is negative at every real embedding")
 
     certificate = None
     passes = 0
-    squareness_settled = any(s < 0 for s in signs)  # a negative embedding bars squares
+    squareness_settled = any(s < 0 for s in K.real_signs)  # a negative embedding bars squares
     for p in _odd_unwarned_primes(F):
         usable = False
         for P in primes_above(F, p):
@@ -104,7 +116,8 @@ def make_extension(F: NumberField, delta_coeffs) -> QuadraticExtension:
         root = _exact_square_root(F, delta)
         if root is not None:
             raise IsSquare(f"delta = ({_coeff_str(root)})^2 in F")
-    return QuadraticExtension(base=F, delta=delta, certificate=certificate)
+    object.__setattr__(K, "certificate", certificate)
+    return K
 
 
 def _coeff_str(coeffs) -> str:
@@ -116,14 +129,6 @@ def _odd_unwarned_primes(F: NumberField):
         if p == 2 or p in F.index_warning_primes:
             continue
         yield p
-
-
-def _real_signs(F: NumberField, delta) -> list[int]:
-    out = []
-    for place in real_embeddings(F):
-        s, _ = polyarith.sign_at_root(delta, F.defining_poly, place.lo, place.hi)
-        out.append(s)
-    return out
 
 
 # ---- exact square root reconstruction ----
@@ -174,7 +179,7 @@ def _exact_square_root(F: NumberField, delta):
     denom = abs(F.poly_disc)
     width = Fraction(1, 2**64)
     while True:
-        roots = polyarith.isolate_real_roots(F.defining_poly, width)
+        roots = [(v.lo, v.hi) for v in real_embeddings(F, width)]
         value_ivs = []
         ok = True
         for lo, hi in roots:
@@ -236,13 +241,6 @@ def _sqrt_candidates(F, delta, roots, value_ivs, denom, d):
 
 
 # ---- place classification ----
-
-def classify_real_place(K: QuadraticExtension, place: RealPlace) -> PlaceType:
-    """Split iff delta > 0 at the embedding; real places never ramify in a
-    quadratic extension generated by a nonzero element."""
-    s, _ = polyarith.sign_at_root(K.delta, K.base.defining_poly, place.lo, place.hi)
-    return PlaceType.SPLIT if s > 0 else PlaceType.INERT
-
 
 def classify_finite_prime(K: QuadraticExtension, P: PrimeIdeal) -> PlaceType:
     """Behavior of P in K/F by the local criterion.

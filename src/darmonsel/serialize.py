@@ -29,16 +29,26 @@ from .fields import (
 from .quadratic import PlaceType, QuadraticExtension, make_extension
 
 SCHEMA_VERSION = 1
+# refinement work grows with the bits, and past about 14k bits the reported
+# endpoints overflow CPython's int-to-str digit limit
+MAX_PRECISION_BITS = 4096
 
 
 @dataclass(frozen=True)
 class Options:
+    """Per-decision options. precision_bits None means "not given": only a
+    command-line override leaves it so, to keep each record's own value; a
+    config's options always carry a number."""
+
     allow_drop_b4: bool = False
     oracle_check: bool = False
-    precision_bits: int = 32
+    precision_bits: int | None = 32
 
     def __post_init__(self):
-        assert self.precision_bits >= 1
+        bits = self.precision_bits
+        _require(bits is None or (type(bits) is int
+                                  and 1 <= bits <= MAX_PRECISION_BITS),
+                 f"precision_bits must be an integer from 1 to {MAX_PRECISION_BITS}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,8 @@ class InputConfig:
     config_id: str = ""
 
     def __post_init__(self):
+        _require(self.options.precision_bits is not None,
+                 "a config's precision_bits must be given")
         _require(isinstance(self.conductor, dict), "conductor must be a mapping")
         keys = set(self.conductor)
         _require(keys == {"generator"} or keys == {"factors"},
@@ -104,9 +116,6 @@ def config_from_doc(doc) -> InputConfig:
              "allow_drop_b4 must be a boolean")
     _require(isinstance(opts.get("oracle_check", False), bool),
              "oracle_check must be a boolean")
-    bits = opts.get("precision_bits", 32)
-    _require(isinstance(bits, int) and not isinstance(bits, bool) and bits >= 1,
-             "precision_bits must be a positive integer")
     config_id = doc.get("id", "")
     _require(isinstance(config_id, str), "id must be a string")
     conductor = doc["conductor"]
@@ -119,7 +128,7 @@ def config_from_doc(doc) -> InputConfig:
         order_conductor=order,
         options=Options(allow_drop_b4=opts.get("allow_drop_b4", False),
                         oracle_check=opts.get("oracle_check", False),
-                        precision_bits=bits),
+                        precision_bits=opts.get("precision_bits", 32)),
         config_id=config_id,
     )
 
@@ -135,7 +144,7 @@ def _ideal_from_doc(F: NumberField, doc: dict, what: str) -> IdealFactorization:
         _require(isinstance(entry, dict)
                  and set(entry) == {"p", "local_factor", "e", "f", "exponent"},
                  f"each {what} factor needs keys p, local_factor, e, f, exponent")
-        pairs.append((_prime_from(entry), entry["exponent"]))
+        pairs.append((_prime_from(entry), _exponent_from(entry)))
     return factor_ideal(F, factors=pairs)
 
 
@@ -188,9 +197,18 @@ def _prime_doc(P: PrimeIdeal) -> dict:
 def _prime_from(doc: dict) -> PrimeIdeal:
     _require(all(type(doc[key]) is int for key in ("p", "e", "f")),
              "prime ideal p, e and f must be integers")
-    return PrimeIdeal(p=doc["p"],
-                      local_factor=_int_list(doc["local_factor"], "local_factor"),
-                      e=doc["e"], f=doc["f"])
+    local_factor = _int_list(doc["local_factor"], "local_factor")
+    _require(local_factor and local_factor[-1] == 1, "local_factor must be monic")
+    _require(doc["f"] == len(local_factor) - 1,
+             "prime ideal f must be the degree of local_factor")
+    _require(doc["e"] >= 1, "prime ideal e must be at least 1")
+    return PrimeIdeal(p=doc["p"], local_factor=local_factor, e=doc["e"], f=doc["f"])
+
+
+def _exponent_from(doc: dict) -> int:
+    _require(type(doc["exponent"]) is int and doc["exponent"] >= 1,
+             "exponent must be an integer >= 1")
+    return doc["exponent"]
 
 
 def _ideal_doc(I: IdealFactorization) -> list:
@@ -199,7 +217,7 @@ def _ideal_doc(I: IdealFactorization) -> list:
 
 def _ideal_from(doc: list) -> IdealFactorization:
     return IdealFactorization.from_pairs(
-        (_prime_from(entry), entry["exponent"]) for entry in doc)
+        (_prime_from(entry), _exponent_from(entry)) for entry in doc)
 
 
 def _place_doc(v: RealPlace) -> dict:

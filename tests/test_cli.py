@@ -1,8 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from darmonsel import polyarith
 from darmonsel.cli import main, run_batch, run_single
-from darmonsel.serialize import Options, config_from_doc, parse_report
+from darmonsel.errors import InputError
+from darmonsel.serialize import (
+    MAX_PRECISION_BITS,
+    Options,
+    config_from_doc,
+    parse_report,
+)
 
 CORPUS = str(Path(__file__).resolve().parents[1] / "corpus" / "golden.json")
 
@@ -12,6 +26,20 @@ GOLDEN_6 = {**GOLDEN_22, "conductor": {"generator": [6]}}
 GOLDEN_ATR = {"schema_version": 1, "field_poly": [-2, 0, 1], "delta": [0, 1],
               "conductor": {"factors": []}}
 NOT_TOTALLY_REAL = {**GOLDEN_22, "field_poly": [1, 0, 1]}
+GOLDEN_CUBIC = {"schema_version": 1, "field_poly": [-1, -2, 1, 1],
+                "delta": [0, 1], "conductor": {"generator": [2]}}
+
+# conductor factor entries over Q that are malformed in one key each
+_P11 = {"p": 11, "local_factor": [0, 1], "e": 1, "f": 1, "exponent": 1}
+MALFORMED_FACTORS = {
+    "e-zero": _P11 | {"e": 0},
+    "f-mismatch": _P11 | {"f": 2},
+    "not-monic": _P11 | {"local_factor": [0, 2]},
+    "empty-local-factor": _P11 | {"local_factor": [], "f": -1},
+    "exponent-string": _P11 | {"exponent": "1"},
+    "exponent-bool": _P11 | {"exponent": True},
+    "exponent-zero": _P11 | {"exponent": 0},
+}
 
 
 def write_json(path, doc):
@@ -154,3 +182,127 @@ def test_main_batch(capsys, tmp_path):
 def test_main_batch_requires_out(capsys):
     assert main(["--batch", CORPUS]) == 1
     assert "--out" in capsys.readouterr().err
+
+
+def _malformed_factor_docs():
+    return [{**GOLDEN_22, "id": name, "conductor": {"factors": [entry]}}
+            for name, entry in MALFORMED_FACTORS.items()]
+
+
+def test_malformed_factor_entries_are_input_errors(capsys, tmp_path):
+    for doc in _malformed_factor_docs():
+        code, report, trace = run_single(config_from_doc(doc))
+        assert (code, report) == (1, None), doc["id"]
+        assert trace.startswith("error: InputError"), (doc["id"], trace)
+        path = write_json(tmp_path / f"{doc['id']}.json", doc)
+        assert main(["--input", path]) == 1
+        captured = capsys.readouterr()
+        assert "InputError" in captured.err and "Traceback" not in captured.err
+    good = {**GOLDEN_22, "id": "good",
+            "conductor": {"factors": [_P11, _P11 | {"p": 2}]}}
+    corpus = write_json(tmp_path / "corpus.json",
+                        [good] + _malformed_factor_docs())
+    code, summary = run_batch(corpus, str(tmp_path / "out"))
+    assert code == 1
+    by_id = {r["id"]: r for r in summary["rows"]}
+    assert by_id["good"]["verdict"] == "feasible"
+    assert (tmp_path / "out" / "good.json").exists()
+    for name in MALFORMED_FACTORS:
+        assert by_id[name]["verdict"] == "ERROR"
+        assert by_id[name]["error"].startswith("error: InputError"), name
+
+
+def test_malformed_input_under_optimize():
+    # the checks must not depend on assert, which python -O strips
+    script = textwrap.dedent(f"""
+        import json
+        from darmonsel.cli import run_single
+        from darmonsel.errors import InputError
+        from darmonsel.serialize import Options, config_from_doc
+        assert False, "asserts must be stripped"
+        for doc in json.loads({json.dumps(json.dumps(_malformed_factor_docs()))}):
+            code, _, trace = run_single(config_from_doc(doc))
+            print(doc["id"], code, trace.split(":")[1].strip())
+        for bits in (0, 4097):
+            try:
+                Options(precision_bits=bits)
+            except InputError:
+                print("precision_bits", bits, "InputError")
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"{name} 1 InputError" for name in MALFORMED_FACTORS] + [
+        "precision_bits 0 InputError", "precision_bits 4097 InputError"]
+
+
+def test_precision_bits_cap(capsys, tmp_path):
+    # over Q the real place is exact, so the largest precision costs nothing
+    assert MAX_PRECISION_BITS == 4096
+    at_cap = {**GOLDEN_22, "options": {"precision_bits": 4096}}
+    code, report, _ = run_single(config_from_doc(at_cap))
+    assert code == 0
+    assert json.loads(report)["real_classes"][0]["precision"] == str(
+        Fraction(1, 2**4096))
+    with pytest.raises(InputError, match="4096"):
+        config_from_doc({**GOLDEN_22, "options": {"precision_bits": 4097}})
+    with pytest.raises(InputError):
+        Options(precision_bits=4097)
+    over = write_json(tmp_path / "over.json",
+                      {**GOLDEN_22, "options": {"precision_bits": 4097}})
+    assert main(["--input", over]) == 1
+    assert "InputError" in capsys.readouterr().err
+    path = write_json(tmp_path / "c.json", GOLDEN_22)
+    assert main(["--input", path, "--precision-bits", "4096", "--no-trace"]) == 0
+    capsys.readouterr()
+    for bits in ("4097", "0"):
+        assert main(["--input", path, "--precision-bits", bits]) == 1
+        captured = capsys.readouterr()
+        assert "InputError" in captured.err and captured.out == ""
+    assert main(["--batch", CORPUS, "--out", str(tmp_path / "o"),
+                 "--precision-bits", "4097"]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_precision_flag_32_overrides_record(capsys, tmp_path):
+    record = GOLDEN_ATR | {"id": "atr", "options": {"precision_bits": 256}}
+    corpus = write_json(tmp_path / "corpus.json", [record])
+    for bits in (32, 33):
+        out = tmp_path / f"out{bits}"
+        assert main(["--batch", corpus, "--out", str(out), "--no-trace",
+                     "--precision-bits", str(bits)]) == 0
+        report = parse_report((out / "atr.json").read_text())
+        assert {v.precision for v, _ in report.profile.real_classes} == {
+            Fraction(1, 2**bits)}
+    out = tmp_path / "kept"
+    assert main(["--batch", corpus, "--out", str(out), "--no-trace"]) == 0
+    report = parse_report((out / "atr.json").read_text())
+    assert {v.precision for v, _ in report.profile.real_classes} == {
+        Fraction(1, 2**256)}
+    capsys.readouterr()
+
+
+def test_one_real_place_computation_per_decision(monkeypatch):
+    calls = {"isolate_real_roots": 0, "sign_at_root": 0}
+
+    def counted(name):
+        original = getattr(polyarith, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(polyarith, name, counted(name))
+    for doc, degree in ((GOLDEN_22, 1), (GOLDEN_ATR, 2), (GOLDEN_CUBIC, 3)):
+        for key in calls:
+            calls[key] = 0
+        code, report, _ = run_single(config_from_doc(doc))
+        assert code in (0, 2) and report is not None
+        assert calls == {"isolate_real_roots": 1, "sign_at_root": degree}, doc

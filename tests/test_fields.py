@@ -21,7 +21,6 @@ from darmonsel.fields import (
     prime_power,
     primes_above,
     real_embeddings,
-    refine_place,
 )
 
 
@@ -59,12 +58,18 @@ def test_real_embeddings_ordering(F_cubic):
     assert all(v.width <= Fraction(1, 2**32) for v in places)
 
 
-def test_refine_place(F_sqrt2):
-    v = real_embeddings(F_sqrt2)[1]
-    fine = refine_place(F_sqrt2, v, Fraction(1, 2**64))
-    assert fine.width <= Fraction(1, 2**64)
-    assert v.lo <= fine.lo <= fine.hi <= v.hi
-    assert fine.index == v.index
+def test_refine_place(F_sqrt2, F_cubic):
+    # refining walks the same midpoints from the field's isolating intervals,
+    # so a finer request nests inside a coarser one, place by place
+    for F in (F_sqrt2, F_cubic):
+        coarse = real_embeddings(F, Fraction(1, 2**32))
+        fine = real_embeddings(F, Fraction(1, 2**64))
+        for v, w in zip(coarse, fine, strict=True):
+            assert w.width <= Fraction(1, 2**64) < v.width
+            assert v.lo <= w.lo <= w.hi <= v.hi
+            assert w.index == v.index
+        for v, (lo, hi) in zip(coarse, F.root_intervals, strict=True):
+            assert lo <= v.lo <= v.hi <= hi
 
 
 def test_primes_above_split_inert(F_sqrt2):

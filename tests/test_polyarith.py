@@ -7,7 +7,6 @@ from darmonsel import polyarith
 from darmonsel.errors import PrecisionExhausted
 from darmonsel.polyarith import (
     cauchy_bound,
-    count_real_roots,
     derivative,
     discriminant,
     divmod_exact,
@@ -17,6 +16,7 @@ from darmonsel.polyarith import (
     isolate_real_roots,
     mul,
     reduce_mod_poly,
+    refine_sign_change,
     resultant,
     sign_at_root,
     sturm_chain,
@@ -62,28 +62,37 @@ def test_resultant_with_linear_is_evaluation(fc, a):
     assert abs(resultant(f, (-a, 1))) == abs(eval_at(f, Fraction(a)))
 
 
-def test_count_real_roots():
-    assert count_real_roots((1, 0, 1)) == 0
-    assert count_real_roots((-2, 0, 1)) == 2
-    assert count_real_roots((-1, -2, 1, 1)) == 3
-    assert count_real_roots(mul((1, 0, 1), (2, 0, 1))) == 0
-    # (x^2-2)(x^2-3) has 4 real roots
-    assert count_real_roots(mul((-2, 0, 1), (-3, 0, 1))) == 4
+def test_isolate_real_roots_counts():
+    for poly, count in [
+        ((1, 0, 1), 0),
+        ((-2, 0, 1), 2),
+        ((-1, -2, 1, 1), 3),
+        (mul((1, 0, 1), (2, 0, 1)), 0),
+        (mul((-2, 0, 1), (-3, 0, 1)), 4),  # (x^2-2)(x^2-3)
+    ]:
+        roots = isolate_real_roots(poly)
+        assert len(roots) == count, poly
+        assert roots == sorted(roots)
+        for lo, hi in roots:
+            assert eval_at(poly, lo) * eval_at(poly, hi) < 0
 
 
 def test_isolate_real_roots_sqrt2():
-    roots = isolate_real_roots((-2, 0, 1), Fraction(1, 2**20))
+    roots = isolate_real_roots((-2, 0, 1))
     assert len(roots) == 2
     (a1, b1), (a2, b2) = roots
-    assert b1 < a2  # disjoint, ordered
-    assert a1 < -1 < 0 < a2 and a2 < Fraction(15, 10) < 2
+    assert b1 <= a2  # ordered, at most an endpoint shared
+    assert a1 < -1 < 0 <= a2 and Fraction(15, 10) < b2
     for lo, hi in roots:
+        assert eval_at((-2, 0, 1), lo) * eval_at((-2, 0, 1), hi) < 0
+        lo, hi = refine_sign_change((-2, 0, 1), lo, hi, Fraction(1, 2**20))
         assert eval_at((-2, 0, 1), lo) * eval_at((-2, 0, 1), hi) < 0
         assert hi - lo <= Fraction(1, 2**20)
 
 
 def test_isolate_cubic_matches_float_roots():
-    roots = isolate_real_roots((-1, -2, 1, 1), Fraction(1, 2**30))
+    roots = [refine_sign_change((-1, -2, 1, 1), lo, hi, Fraction(1, 2**30))
+             for lo, hi in isolate_real_roots((-1, -2, 1, 1))]
     approx = [float((lo + hi) / 2) for lo, hi in roots]
     expected = [-1.8019377358048383, -0.44504186791262906, 1.2469796037174672]
     assert all(abs(a - e) < 1e-8 for a, e in zip(approx, expected))
@@ -91,11 +100,11 @@ def test_isolate_cubic_matches_float_roots():
 
 def test_sign_at_root():
     # sign of theta at each root of the cubic: -, -, +
-    roots = isolate_real_roots((-1, -2, 1, 1), Fraction(1, 16))
+    roots = isolate_real_roots((-1, -2, 1, 1))
     signs = [sign_at_root((0, 1), (-1, -2, 1, 1), lo, hi)[0] for lo, hi in roots]
     assert signs == [-1, -1, 1]
     # sign of theta^2 - 2 at the roots of x^2 - 5: both positive
-    roots5 = isolate_real_roots((-5, 0, 1), Fraction(1, 16))
+    roots5 = isolate_real_roots((-5, 0, 1))
     signs5 = [sign_at_root((-2, 0, 1), (-5, 0, 1), lo, hi)[0] for lo, hi in roots5]
     assert signs5 == [1, 1]
 
@@ -103,7 +112,7 @@ def test_sign_at_root():
 def test_sign_at_root_of_zero_polynomial_is_impossible():
     # g = f means g vanishes at the root; the certified sign search must not
     # loop forever, it must raise once the width floor is reached
-    roots = isolate_real_roots((-2, 0, 1), Fraction(1, 16))
+    roots = isolate_real_roots((-2, 0, 1))
     with pytest.raises(PrecisionExhausted):
         sign_at_root((-2, 0, 1), (-2, 0, 1), *roots[0])
 
@@ -153,7 +162,7 @@ def test_is_irreducible_monic_int(poly, expected):
 
 def test_cauchy_bound_contains_roots():
     b = cauchy_bound((-1, -2, 1, 1))
-    roots = isolate_real_roots((-1, -2, 1, 1), Fraction(1, 4))
+    roots = isolate_real_roots((-1, -2, 1, 1))
     for lo, hi in roots:
         assert -b <= lo and hi <= b
 

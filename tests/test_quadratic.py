@@ -8,18 +8,17 @@ from darmonsel.errors import (
     NoRealPlace,
     ZeroDelta,
 )
+from darmonsel.feasibility import build_profile
 from darmonsel.fields import (
     IdealFactorization,
     PrimeIdeal,
     parse_field,
     primes_above,
-    real_embeddings,
 )
 from darmonsel.quadratic import (
     PlaceType,
     classify_conductor,
     classify_finite_prime,
-    classify_real_place,
     disc_coprime_to,
     make_extension,
 )
@@ -79,17 +78,19 @@ def test_classify_rational_goldens(K_sqrt5, F_rat):
     assert cls(19) is PlaceType.SPLIT
 
 
-def test_classify_real_places_atr(K_atr, F_sqrt2):
-    places = real_embeddings(F_sqrt2)
-    types = [classify_real_place(K_atr, v) for v in places]
+def test_classify_real_places_atr(K_atr):
     # theta < 0 at the first embedding, positive at the second
-    assert types == [PlaceType.INERT, PlaceType.SPLIT]
+    assert K_atr.real_signs == (-1, 1)
+    profile = build_profile(K_atr, IdealFactorization.unit())
+    assert [(v.index, t) for v, t in profile.real_classes] == [
+        (1, PlaceType.INERT), (2, PlaceType.SPLIT)]
 
 
-def test_classify_real_places_cubic(K_cubic, F_cubic):
-    places = real_embeddings(F_cubic)
-    types = [classify_real_place(K_cubic, v) for v in places]
-    assert types == [PlaceType.INERT, PlaceType.INERT, PlaceType.SPLIT]
+def test_classify_real_places_cubic(K_cubic):
+    assert K_cubic.real_signs == (-1, -1, 1)
+    profile = build_profile(K_cubic, IdealFactorization.unit())
+    assert [t for _, t in profile.real_classes] == [
+        PlaceType.INERT, PlaceType.INERT, PlaceType.SPLIT]
 
 
 def test_rational_legendre_slice(F_rat):
