@@ -39,11 +39,6 @@ class NormTooLarge(DarmonselError):
     """Generator norm does not factor by trial division within the bound."""
 
 
-class AmbiguousValuation(DarmonselError):
-    """Two or more primes above p divide the generator; the norm alone cannot
-    apportion the valuation."""
-
-
 class LocalDataInsufficient(DarmonselError):
     """Kummer-Dedekind data for a ramified prime (e >= 2) does not determine
     the completion arithmetic this computation needs."""

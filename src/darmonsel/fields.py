@@ -15,10 +15,10 @@ from functools import cached_property
 
 from . import polyarith, polymod
 from .errors import (
-    AmbiguousValuation,
     DegreeUnsupported,
     IndexObstruction,
     InputError,
+    LocalDataInsufficient,
     NormTooLarge,
     NotIrreducible,
     NotMonic,
@@ -44,9 +44,12 @@ class PrimeIdeal:
     f: int
 
     def __post_init__(self):
-        assert self.f == len(self.local_factor) - 1
-        assert self.local_factor[-1] == 1
-        assert self.e >= 1
+        if not self.local_factor or self.local_factor[-1] != 1:
+            raise InputError("local_factor must be monic")
+        if self.f != len(self.local_factor) - 1:
+            raise InputError("prime ideal f must be the degree of local_factor")
+        if self.e < 1:
+            raise InputError("prime ideal e must be at least 1")
 
     @property
     def norm(self) -> int:
@@ -60,9 +63,6 @@ class PrimeIdeal:
         """Image of an integer polynomial in theta inside O/P = F_p[x]/(local_factor)."""
         reduced = polymod.reduce_mod(coeffs, self.p)
         return polymod.divmod_poly(reduced, self.local_factor, self.p)[1]
-
-    def divides_element(self, coeffs) -> bool:
-        return not self.residue_of(coeffs)
 
     def __str__(self):
         if self.local_factor == (0, 1) and self.e == 1 and self.f == 1:
@@ -135,7 +135,7 @@ class NumberField:
         if p not in self.index_warning_primes:
             raise InputError(f"p={p} is not an index-warning prime; use primes_above")
         for pr in primes:
-            _validate_prime_shape(self, pr, warned=True)
+            _validate_prime_shape(self, pr)
         if sum(pr.e * pr.f for pr in primes) != self.degree:
             raise InputError("explicit data must satisfy sum(e*f) = degree")
         if len({pr.local_factor for pr in primes}) != len(primes):
@@ -147,7 +147,10 @@ class NumberField:
         return f"Q[x]/({_poly_str(self.defining_poly)})"
 
 
-def _validate_prime_shape(F: NumberField, P: PrimeIdeal, warned: bool):
+def _validate_prime_shape(F: NumberField, P: PrimeIdeal):
+    """Kummer-Dedekind shape: local_factor irreducible mod p and local_factor^e
+    exactly dividing the defining polynomial mod p, also at a warned p. An
+    e = 1 factor is then coprime to its cofactor, so it Hensel-lifts."""
     if not is_prime(P.p):
         raise InputError(f"{P.p} is not prime")
     if tuple(c % P.p for c in P.local_factor) != P.local_factor:
@@ -156,17 +159,15 @@ def _validate_prime_shape(F: NumberField, P: PrimeIdeal, warned: bool):
         raise InputError(f"local_factor {P.local_factor} reducible mod {P.p}")
     if P.e * P.f > F.degree:
         raise InputError("e*f exceeds the field degree")
-    if not warned:
-        # local_factor^e must exactly divide the defining polynomial mod p
-        fp = polymod.reduce_mod(F.defining_poly, P.p)
-        power = (1,)
-        for _ in range(P.e):
-            power = polymod.mul(power, P.local_factor, P.p)
-        q, r = polymod.divmod_poly(fp, power, P.p)
-        if r:
-            raise InputError("local_factor^e does not divide the defining poly mod p")
-        if not polymod.divmod_poly(q, P.local_factor, P.p)[1]:
-            raise InputError("division by local_factor^e is not exact")
+    fp = polymod.reduce_mod(F.defining_poly, P.p)
+    power = (1,)
+    for _ in range(P.e):
+        power = polymod.mul(power, P.local_factor, P.p)
+    q, r = polymod.divmod_poly(fp, power, P.p)
+    if r:
+        raise InputError("local_factor^e does not divide the defining poly mod p")
+    if not polymod.divmod_poly(q, P.local_factor, P.p)[1]:
+        raise InputError("division by local_factor^e is not exact")
 
 
 def parse_field(coeffs) -> NumberField:
@@ -203,14 +204,18 @@ def parse_field(coeffs) -> NumberField:
 def real_embeddings(F: NumberField, precision: Fraction = DEFAULT_PRECISION):
     """All real places, one per root, intervals sorted ascending, index 1..d:
     the field's isolating intervals bisected down to width <= precision."""
-    places = []
-    for index, (lo, hi) in enumerate(F.root_intervals, start=1):
-        if lo != hi:
-            lo, hi = polyarith.refine_sign_change(F.defining_poly, lo, hi, precision)
-        places.append(RealPlace(index=index, lo=lo, hi=hi, precision=precision))
-    for a, b in zip(places, places[1:]):
-        assert a.hi < b.lo, "isolating intervals must be disjoint"
-    return tuple(places)
+    f = F.defining_poly
+    cells = [polyarith.refine_sign_change(f, lo, hi, precision) if lo != hi
+             else (lo, hi) for lo, hi in F.root_intervals]
+    for i in range(len(cells) - 1):
+        # neighbouring bisection cells can share an endpoint; the roots are
+        # irrational, so halving both cells separates them
+        while cells[i][1] >= cells[i + 1][0]:
+            cells[i], cells[i + 1] = (
+                polyarith.refine_sign_change(f, lo, hi, (hi - lo) / 2)
+                for lo, hi in cells[i:i + 2])
+    return tuple(RealPlace(index=index, lo=lo, hi=hi, precision=precision)
+                 for index, (lo, hi) in enumerate(cells, start=1))
 
 
 def primes_above(F: NumberField, p: int):
@@ -315,7 +320,9 @@ def factor_ideal(F: NumberField, *, generator=None, factors=None,
 
     generator: little-endian integer coefficients of an element of Z[theta]
     (principal ideal; its norm must factor by trial division within
-    trial_bound, and every prime dividing the norm must be certifiable).
+    trial_bound, every prime dividing the norm must be certifiable, and the
+    valuation the unramified primes above p leave must fall to at most one
+    ramified prime, else LocalDataInsufficient).
     factors: iterable of (PrimeIdeal, exponent) pairs, validated and returned
     verbatim.
     """
@@ -328,7 +335,7 @@ def factor_ideal(F: NumberField, *, generator=None, factors=None,
                 raise InputError("factored form needs PrimeIdeal keys")
             if e < 1:
                 raise InputError(f"exponent {e} < 1 at {P}")
-            _validate_prime_shape(F, P, warned=P.p in F.index_warning_primes)
+            _validate_prime_shape(F, P)
         by_p: dict[int, int] = {}
         for P, _ in pairs:
             by_p[P.p] = by_p.get(P.p, 0) + P.e * P.f
@@ -356,19 +363,60 @@ def factor_ideal(F: NumberField, *, generator=None, factors=None,
     except ValueError as exc:
         raise NormTooLarge(f"|N(gen)| = {abs(norm)}: {exc}") from exc
     pairs = []
-    for p in sorted(norm_factors):
-        vp = norm_factors[p]
+    for p, rest in sorted(norm_factors.items()):
         primes = primes_above(F, p)  # IndexObstruction propagates
-        dividing = [P for P in primes if P.divides_element(gen)]
-        assert dividing, "a prime dividing the norm must divide the generator"
-        if len(dividing) > 1:
-            raise AmbiguousValuation(
-                f"{len(dividing)} primes above {p} divide the generator; "
-                "norm bookkeeping cannot split the valuation")
-        P = dividing[0]
-        v, rem = divmod(vp, P.f)
+        for P in primes:
+            if P.e == 1:
+                v = local_expansion(F, P, gen)[0]
+                pairs.append((P, v))
+                rest -= P.f * v
+        if not rest:
+            continue
+        ramified = [P for P in primes if P.e > 1]
+        if len(ramified) > 1:
+            raise LocalDataInsufficient(
+                f"{len(ramified)} ramified primes above {p} share the norm "
+                f"valuation {rest} left by the unramified ones")
+        (P,) = ramified
+        v, rem = divmod(rest, P.f)
         if rem:
             raise InputError(
-                f"norm valuation {vp} at p={p} is not a multiple of f={P.f}")
+                f"norm valuation {rest} left at p={p} is not a multiple of f={P.f}")
         pairs.append((P, v))
     return IdealFactorization.from_pairs(pairs)
+
+
+def local_expansion(F: NumberField, P: PrimeIdeal, a, extra_level: int = 3):
+    """(v, unit, level, G): a = p^v * unit in the completion Z_p[x]/(G) of F
+    at an unramified P, where G is the Hensel lift of the local factor and the
+    unit is known mod (p^level, G). v is v_P(a) for nonzero a in Z[theta].
+
+    Raises LocalDataInsufficient for e >= 2: Kummer-Dedekind data does not
+    determine the completion there.
+    """
+    if P.e != 1:
+        raise LocalDataInsufficient(
+            f"v_{P} needs the completion at a ramified prime: Kummer-Dedekind "
+            "data does not determine it")
+    p = P.p
+    norm = polyarith.resultant(F.defining_poly, a)
+    if norm == 0:
+        raise InputError("a zero element has no valuation")
+    bound = _p_val(int(norm), p)
+    m = bound + extra_level
+    G, _ = polymod.hensel_lift_pair(F.defining_poly, P.local_factor, p, m)
+    modulus = p**m
+    r = polymod.divmod_poly(polymod.reduce_mod(a, modulus), G, modulus)[1]
+    assert r, "a cannot vanish to precision beyond its norm valuation"
+    v = min(_p_val(c, p) for c in r if c != 0)
+    assert v * P.f <= bound
+    unit = tuple(c // p**v for c in r)
+    return v, polymod.reduce_mod(unit, p ** (m - v)), m - v, G
+
+
+def _p_val(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v

@@ -19,7 +19,6 @@ from . import polyarith, polymod
 from .errors import (
     InputError,
     IsSquare,
-    LocalDataInsufficient,
     NoRealPlace,
     PrecisionExhausted,
     ZeroDelta,
@@ -28,6 +27,7 @@ from .fields import (
     IdealFactorization,
     NumberField,
     PrimeIdeal,
+    local_expansion,
     primes_above,
     real_embeddings,
 )
@@ -258,57 +258,18 @@ def classify_finite_prime(K: QuadraticExtension, P: PrimeIdeal) -> PlaceType:
         if residue:
             chi = polymod.fq_quadratic_character(residue, P.local_factor, P.p)
             return PlaceType.SPLIT if chi == 1 else PlaceType.INERT
-        if P.e != 1:
-            raise LocalDataInsufficient(
-                f"v_{P}(delta) > 0 at a ramified prime: Kummer-Dedekind data "
-                "does not determine the completion")
-        v, unit, _, _ = _unramified_local_data(F, P, delta)
+        v, unit, _, _ = local_expansion(F, P, delta)
         if v % 2 == 1:
             return PlaceType.RAMIFIED
         chi = polymod.fq_quadratic_character(
             polymod.reduce_mod(unit, P.p), P.local_factor, P.p)
         return PlaceType.SPLIT if chi == 1 else PlaceType.INERT
     # p = 2
-    if P.e != 1:
-        raise LocalDataInsufficient(
-            "p = 2 with e >= 2: completion arithmetic is not determined by "
-            "Kummer-Dedekind data")
-    v, unit, level, G = _unramified_local_data(F, P, delta, extra_level=4)
+    v, unit, level, G = local_expansion(F, P, delta, extra_level=4)
     if v % 2 == 1:
         return PlaceType.RAMIFIED
     assert level >= 3
     return _two_adic_unit_class(unit, G, P)
-
-
-def _unramified_local_data(F: NumberField, P: PrimeIdeal, delta, extra_level: int = 3):
-    """(v, unit, level, G): delta = p^v * unit in the completion at P (e = 1),
-    with unit known mod (p^level, G) and G the Hensel lift of the local factor.
-    """
-    p = P.p
-    norm = polyarith.resultant(F.defining_poly, delta)
-    assert norm != 0
-    norm = abs(int(norm))
-    bound = 0
-    while norm % p == 0:
-        norm //= p
-        bound += 1
-    m = bound + extra_level
-    G, _ = polymod.hensel_lift_pair(F.defining_poly, P.local_factor, p, m)
-    modulus = p**m
-    r = polymod.divmod_poly(polymod.reduce_mod(delta, modulus), G, modulus)[1]
-    assert r, "delta cannot vanish to precision beyond its norm valuation"
-    v = min(_p_val(c, p) for c in r if c != 0)
-    assert v * P.f <= bound
-    unit = tuple(c // p**v for c in r)
-    return v, polymod.reduce_mod(unit, p ** (m - v)), m - v, G
-
-
-def _p_val(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _two_adic_unit_class(unit, G, P: PrimeIdeal) -> PlaceType:
@@ -343,8 +304,3 @@ def _two_adic_unit_class(unit, G, P: PrimeIdeal) -> PlaceType:
 def classify_conductor(K: QuadraticExtension, N: IdealFactorization):
     """[(P, exponent, PlaceType)] for every prime dividing N, canonical order."""
     return tuple((P, e, classify_finite_prime(K, P)) for P, e in N.factors)
-
-
-def disc_coprime_to(K: QuadraticExtension, N: IdealFactorization) -> bool:
-    """True iff no prime of N ramifies in K/F."""
-    return all(t is not PlaceType.RAMIFIED for _, _, t in classify_conductor(K, N))

@@ -198,10 +198,6 @@ def _prime_from(doc: dict) -> PrimeIdeal:
     _require(all(type(doc[key]) is int for key in ("p", "e", "f")),
              "prime ideal p, e and f must be integers")
     local_factor = _int_list(doc["local_factor"], "local_factor")
-    _require(local_factor and local_factor[-1] == 1, "local_factor must be monic")
-    _require(doc["f"] == len(local_factor) - 1,
-             "prime ideal f must be the degree of local_factor")
-    _require(doc["e"] >= 1, "prime ideal e must be at least 1")
     return PrimeIdeal(p=doc["p"], local_factor=local_factor, e=doc["e"], f=doc["f"])
 
 

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from darmonsel.fields import IdealFactorization, PrimeIdeal, factor_ideal, parse_field
@@ -60,3 +66,17 @@ def rational_ideal(F_rat):
     def build(m: int) -> IdealFactorization:
         return factor_ideal(F_rat, generator=[m])
     return build
+
+
+@pytest.fixture()
+def run_optimized():
+    """Run a script under python -O, where assert is stripped, with this
+    checkout's src first on the path."""
+    def run(script: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        return subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
+                              env=env, capture_output=True, text=True, timeout=120)
+    return run

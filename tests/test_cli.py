@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +36,16 @@ MALFORMED_FACTORS = {
     "exponent-bool": _P11 | {"exponent": True},
     "exponent-zero": _P11 | {"exponent": 0},
 }
+# (x + 1)^1 does not exactly divide x^2 - 5 = (x + 1)^2 mod 2, an index prime
+BOGUS_INDEX_PRIME = {"schema_version": 1, "id": "index-prime-bogus",
+                     "field_poly": [-5, 0, 1], "delta": [0, 1],
+                     "conductor": {"factors": [
+                         {"p": 2, "local_factor": [1, 1], "e": 1, "f": 1,
+                          "exponent": 1}]}}
+# at width 1/2 two isolation cells of this cubic share an endpoint
+TOUCHING_CELLS = {"schema_version": 1, "field_poly": [-1, -6, -6, 1],
+                  "delta": [0, 1], "conductor": {"factors": []},
+                  "options": {"precision_bits": 1}}
 
 
 def write_json(path, doc):
@@ -186,7 +192,7 @@ def test_main_batch_requires_out(capsys):
 
 def _malformed_factor_docs():
     return [{**GOLDEN_22, "id": name, "conductor": {"factors": [entry]}}
-            for name, entry in MALFORMED_FACTORS.items()]
+            for name, entry in MALFORMED_FACTORS.items()] + [BOGUS_INDEX_PRIME]
 
 
 def test_malformed_factor_entries_are_input_errors(capsys, tmp_path):
@@ -207,15 +213,16 @@ def test_malformed_factor_entries_are_input_errors(capsys, tmp_path):
     by_id = {r["id"]: r for r in summary["rows"]}
     assert by_id["good"]["verdict"] == "feasible"
     assert (tmp_path / "out" / "good.json").exists()
-    for name in MALFORMED_FACTORS:
-        assert by_id[name]["verdict"] == "ERROR"
-        assert by_id[name]["error"].startswith("error: InputError"), name
+    for doc in _malformed_factor_docs():
+        assert by_id[doc["id"]]["verdict"] == "ERROR"
+        assert by_id[doc["id"]]["error"].startswith("error: InputError"), doc["id"]
 
 
-def test_malformed_input_under_optimize():
+def test_malformed_input_under_optimize(run_optimized):
     # the checks must not depend on assert, which python -O strips
-    script = textwrap.dedent(f"""
+    out = run_optimized(f"""
         import json
+        from fractions import Fraction
         from darmonsel.cli import run_single
         from darmonsel.errors import InputError
         from darmonsel.serialize import Options, config_from_doc
@@ -228,17 +235,27 @@ def test_malformed_input_under_optimize():
                 Options(precision_bits=bits)
             except InputError:
                 print("precision_bits", bits, "InputError")
+        code, report, _ = run_single(config_from_doc({TOUCHING_CELLS!r}))
+        places = json.loads(report)["real_classes"]
+        print("touching-cells", code, all(
+            Fraction(a["hi"]) < Fraction(b["lo"]) for a, b in zip(places, places[1:])))
     """)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        f"{name} 1 InputError" for name in MALFORMED_FACTORS] + [
-        "precision_bits 0 InputError", "precision_bits 4097 InputError"]
+        f"{doc['id']} 1 InputError" for doc in _malformed_factor_docs()] + [
+        "precision_bits 0 InputError", "precision_bits 4097 InputError",
+        "touching-cells 2 True"]
+
+
+def test_touching_isolation_cells_are_separated(capsys, tmp_path):
+    path = write_json(tmp_path / "cubic.json", TOUCHING_CELLS)
+    assert main(["--input", path]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    places = json.loads(captured.out)["real_classes"]
+    assert len(places) == 3
+    for a, b in zip(places, places[1:]):
+        assert Fraction(a["hi"]) < Fraction(b["lo"])
 
 
 def test_precision_bits_cap(capsys, tmp_path):

@@ -1,9 +1,3 @@
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -280,11 +274,11 @@ def test_validate_spec_returns_named_checks(K_sqrt5, rational_ideal):
         ("(viii)", "greenberg[0]", True), ("C4", "greenberg[0]", True)]
 
 
-def test_validate_spec_raises_internal_invariant_under_optimize():
+def test_validate_spec_raises_internal_invariant_under_optimize(run_optimized):
     # N+ holds the inert prime (3) with drop-B4 off: the spec satisfies its
     # own constructor but not the local embedding criterion. The check must
     # not depend on assert, which python -O strips.
-    script = textwrap.dedent("""
+    out = run_optimized("""
         import sys
         from darmonsel import (IdealFactorization, InternalInvariant, Kind,
                                QuaternionAlgebraSpec, build_profile,
@@ -305,11 +299,5 @@ def test_validate_spec_raises_internal_invariant_under_optimize():
         except InternalInvariant as e:
             print("InternalInvariant:", e)
     """)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("InternalInvariant: greenberg[0] fails (viii), C4")

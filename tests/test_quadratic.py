@@ -19,7 +19,6 @@ from darmonsel.quadratic import (
     PlaceType,
     classify_conductor,
     classify_finite_prime,
-    disc_coprime_to,
     make_extension,
 )
 
@@ -196,6 +195,6 @@ def test_classify_conductor_and_disc(K_sqrt5, F_rat, rational_ideal):
     classes = classify_conductor(K_sqrt5, N)
     assert [(P.p, e, t) for P, e, t in classes] == [
         (2, 1, PlaceType.INERT), (11, 1, PlaceType.SPLIT)]
-    assert disc_coprime_to(K_sqrt5, N)
-    assert not disc_coprime_to(K_sqrt5, rational_ideal(15))
-    assert disc_coprime_to(K_sqrt5, IdealFactorization.unit())
+    assert build_profile(K_sqrt5, N, strict=False).disc_coprime
+    assert not build_profile(K_sqrt5, rational_ideal(15), strict=False).disc_coprime
+    assert build_profile(K_sqrt5, IdealFactorization.unit(), strict=False).disc_coprime
