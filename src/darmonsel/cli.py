@@ -9,6 +9,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -148,6 +149,10 @@ def run_batch(corpus_path: str, output_dir: str,
               override: Options | None = None):
     """(exit_code, summary_doc). Writes per-record reports and summary.json.
 
+    A record that fails, with any exception, gets an ERROR row naming the
+    exception's class (plus the traceback when it is not a DarmonselError),
+    and the exit code is 1.
+
     override carries the command-line flags: its booleans switch a record's
     options on, and its precision_bits replaces each record's unless None."""
     out = Path(output_dir)
@@ -184,8 +189,13 @@ def run_batch(corpus_path: str, output_dir: str,
                            greenberg=len(report_doc["greenberg_options"]),
                            verdict="feasible" if code == 0 else "infeasible")
                 (out / f"{_safe_name(rid)}.json").write_text(report_json)
-        except DarmonselError as e:
+        except Exception as e:
+            # any failure is this record's ERROR row and the rest of the
+            # corpus still runs; an untyped one is an engine fault, so its
+            # row keeps the traceback
             row["error"] = f"{type(e).__name__}: {e}"
+            if not isinstance(e, DarmonselError):
+                row["traceback"] = traceback.format_exc()
             any_error = True
         rows.append(row)
     rows.sort(key=lambda r: r["id"])

@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DiscNotCoprime, InternalInvariant
+from .errors import DiscNotCoprime, InternalInvariant, SearchSpaceTooLarge
 from .fields import (DEFAULT_PRECISION, IdealFactorization, PrimeIdeal,
                      RealPlace, real_embeddings)
 from .quadratic import PlaceType, QuadraticExtension, classify_conductor
@@ -66,6 +66,10 @@ class Check:
     ok: bool
     detail: str
 
+
+# log2 of the most subsets a search may walk: the widened (drop-B4) selector
+# and the oracle both refuse beyond it
+SUBSET_BOUND = 20
 
 REASON_OF_LABEL = {
     "B1": ReasonCode.NO_INERT_REAL_PLACE,
@@ -263,7 +267,9 @@ def select_gartner(profile: ConductorProfile,
 
     Every inert prime dividing N must ramify in B, so N must be squarefree at
     the inert primes and N' = (1). With allow_drop_b4 the inert primes may
-    instead be left split in B (subject to parity), which moves them into N+.
+    instead be left split in B (subject to parity), which moves them into N+;
+    that walks every subset of the exact inert primes and raises
+    SearchSpaceTooLarge past 2^SUBSET_BOUND of them.
     Infeasibility is the empty tuple; the report records the reasons.
     """
     return _select_gartner(profile, allow_drop_b4, {})
@@ -276,6 +282,10 @@ def _select_gartner(profile: ConductorProfile, allow_drop_b4: bool, log: dict):
         return ()
     inert_primes = tuple(P for P, _ in profile.inert_finite)
     exact_primes = tuple(P for P, e in profile.inert_finite if e == 1)
+    if allow_drop_b4 and len(exact_primes) > SUBSET_BOUND:
+        raise SearchSpaceTooLarge(
+            f"{len(exact_primes)} exact inert primes exceed the "
+            f"2^{SUBSET_BOUND} subset bound of the widened selector")
     specs = []
     for tau in inert_reals:
         subject = f"gartner tau_{tau.index}"

@@ -18,6 +18,7 @@ from .errors import (
     DegreeUnsupported,
     IndexObstruction,
     InputError,
+    InternalInvariant,
     LocalDataInsufficient,
     NormTooLarge,
     NotIrreducible,
@@ -98,8 +99,11 @@ class RealPlace:
     precision: Fraction
 
     def __post_init__(self):
-        assert self.lo <= self.hi
-        assert self.hi - self.lo <= self.precision
+        if not self.lo <= self.hi:
+            raise InternalInvariant(f"real place interval [{self.lo}, {self.hi}] "
+                                    "is reversed")
+        if self.hi - self.lo > self.precision:
+            raise InternalInvariant(f"real place interval wider than {self.precision}")
 
     @property
     def width(self) -> Fraction:
@@ -170,18 +174,26 @@ def _validate_prime_shape(F: NumberField, P: PrimeIdeal):
         raise InputError("division by local_factor^e is not exact")
 
 
+def _integer_coefficients(coeffs, what: str, error=InputError) -> tuple[int, ...]:
+    """coeffs as a tuple of ints. Raises error unless every coefficient
+    equals its int(), so 6.9 or "6" is refused rather than truncated or
+    parsed."""
+    try:
+        coeffs = list(coeffs)
+        out = tuple(int(c) for c in coeffs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} must be integers: {coeffs!r}") from exc
+    if list(out) != coeffs:
+        raise error(f"{what} must be integers: {coeffs!r}")
+    return out
+
+
 def parse_field(coeffs) -> NumberField:
     """Build and certify a NumberField from little-endian integer coefficients.
 
     Raises NotMonic, DegreeUnsupported, NotIrreducible, NotTotallyReal.
     """
-    try:
-        poly = tuple(int(c) for c in coeffs)
-    except (TypeError, ValueError) as exc:
-        raise NotMonic(f"coefficients must be integers: {coeffs!r}") from exc
-    if list(poly) != list(coeffs):
-        raise NotMonic(f"coefficients must be integers: {coeffs!r}")
-    poly = polyarith.trim(poly)
+    poly = polyarith.trim(_integer_coefficients(coeffs, "coefficients", NotMonic))
     d = polyarith.deg(poly)
     if d < 1 or not poly:
         raise DegreeUnsupported("degree must be between 1 and 4")
@@ -346,10 +358,7 @@ def factor_ideal(F: NumberField, *, generator=None, factors=None,
             raise InputError("duplicate prime in factored input")
         return IdealFactorization.from_pairs(pairs)
 
-    try:
-        gen_coeffs = tuple(int(c) for c in generator)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"generator must be integer coefficients: {generator!r}") from exc
+    gen_coeffs = _integer_coefficients(generator, "generator coefficients")
     gen = polyarith.reduce_mod_poly(gen_coeffs, F.defining_poly)
     norm = polyarith.resultant(F.defining_poly, gen) if gen else Fraction(0)
     assert norm.denominator == 1

@@ -23,10 +23,8 @@ import itertools
 
 from .errors import SearchSpaceTooLarge
 from .fields import IdealFactorization, PrimeIdeal
-from .feasibility import ConductorProfile, Kind, QuaternionAlgebraSpec
+from .feasibility import SUBSET_BOUND, ConductorProfile, Kind, QuaternionAlgebraSpec
 from .quadratic import PlaceType
-
-SUBSET_BOUND = 20
 
 
 def _splitting(conductor: IdealFactorization, s_f, n_prime_prime):

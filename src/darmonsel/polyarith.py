@@ -1,19 +1,23 @@
 """Exact univariate polynomial arithmetic over Z and Q.
 
 Little-endian coefficient tuples, same as polymod. Everything runs on ints and
-fractions.Fraction; no floating point anywhere. Degree is capped at 4 by the
-callers, which keeps the quartic factor search and the Sylvester determinants
-trivial.
+fractions.Fraction; no floating point anywhere. The real-root kernel (Sturm
+isolation, refinement, signs at a root) runs its loops on ints alone: each
+polynomial is scaled to integer coefficients and evaluated at dyadic points
+n/2^k by one homogeneous Horner evaluator, and refinement takes quadratic
+interval refinement steps on the bisection grid, so it returns the very cell
+bisection would. Degree is capped at 4 by the callers, which keeps the quartic
+factor search and the Sylvester determinants trivial.
 """
 
 from fractions import Fraction
 
-from .errors import PrecisionExhausted
+from .errors import InternalInvariant, PrecisionExhausted
 from .intmath import factorize, is_perfect_square
 from .polymod import deg, trim
 import math
 
-# depth limit for all certified bisection loops
+# narrowest interval sign_at_root and the square-root reconstruction try
 MIN_WIDTH = Fraction(1, 2**256)
 
 
@@ -137,10 +141,42 @@ def discriminant(f) -> int:
     return int(d)
 
 
-# ---- Sturm machinery ----
+# ---- real roots, on integer dyadics ----
+#
+# Every sign the real-root kernel tests comes from _scaled_value: an integer
+# polynomial at a dyadic point n/2^k, evaluated exactly on ints. Brackets and
+# cells are integer numerators at a level k, so the loops do no Fraction
+# arithmetic; Fractions appear only where a cell is handed back.
+
+def _scaled_value(f, n: int, k: int) -> int:
+    """2^(k*deg f) * f(n/2^k) for integer f, by homogeneous Horner with shifts
+    and multiplies only; it has the sign of f(n/2^k)."""
+    acc = 0
+    shift = 0
+    for c in reversed(f):
+        acc = acc * n + (c << shift)
+        shift += k
+    return acc
+
+
+def _nonzero_value(f, n: int, k: int, where: str) -> int:
+    value = _scaled_value(f, n, k)
+    if value == 0:
+        raise InternalInvariant(f"rational root hit during {where}")
+    return value
+
+
+def _integral(f):
+    """f times the positive lcm of its denominators: integer coefficients and
+    the sign of f at every point."""
+    scale = math.lcm(*(c.denominator for c in f))
+    return tuple(int(c * scale) for c in f)
+
 
 def sturm_chain(f):
-    chain = [tuple(Fraction(c) for c in f)]
+    """Sturm chain of f, each member scaled by a positive factor to integer
+    coefficients, which leaves every count of sign variations unchanged."""
+    chain = [_integral(f)]
     d = derivative(chain[0])
     if d:
         chain.append(d)
@@ -148,24 +184,23 @@ def sturm_chain(f):
             _, r = divmod_exact(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append(neg(r))
+            chain.append(_integral(neg(r)))
     return chain
 
 
-def _variations(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _variations(chain, n: int, k: int) -> int:
+    signs = [s for s in (_sign(_scaled_value(p, n, k)) for p in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def sturm_count_halfopen(chain, a, b) -> int:
-    """Number of distinct real roots in (a, b]."""
-    va = _variations([_sign(eval_at(p, a)) for p in chain])
-    vb = _variations([_sign(eval_at(p, b)) for p in chain])
-    return va - vb
+def sturm_count_halfopen(chain, a: int, b: int, k: int) -> int:
+    """Number of distinct real roots in (a/2^k, b/2^k] for integers a, b and
+    a chain from sturm_chain."""
+    return _variations(chain, a, k) - _variations(chain, b, k)
 
 
 def cauchy_bound(f) -> int:
@@ -188,42 +223,159 @@ def isolate_real_roots(f):
         r = Fraction(-f[0], f[1])
         return [(r, r)]
     chain = sturm_chain(f)
+    f = chain[0]
     bound = cauchy_bound(f)
-    total = sturm_count_halfopen(chain, Fraction(-bound), Fraction(bound))
     done = []
-    stack = [(Fraction(-bound), Fraction(bound), total)]
+    # a cell (lo, hi, k) is the interval [lo/2^k, hi/2^k] holding count roots
+    stack = [(-bound, bound, 0, sturm_count_halfopen(chain, -bound, bound, 0))]
     while stack:
-        lo, hi, k = stack.pop()
-        if k == 0:
+        lo, hi, k, count = stack.pop()
+        if count == 0:
             continue
-        if k == 1:
-            done.append((lo, hi))
+        if count == 1:
+            # a single simple root inside forces opposite endpoint signs
+            if _sign(_scaled_value(f, lo, k)) * _sign(_scaled_value(f, hi, k)) >= 0:
+                raise InternalInvariant("isolating cell without a sign change")
+            done.append((Fraction(lo, 1 << k), Fraction(hi, 1 << k)))
             continue
-        mid = (lo + hi) / 2
-        assert eval_at(f, mid) != 0, "rational root hit during isolation"
-        left = sturm_count_halfopen(chain, lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, k - left))
-    done.sort()
-    for lo, hi in done:
-        # a single simple root inside forces opposite endpoint signs
-        assert _sign(eval_at(f, lo)) * _sign(eval_at(f, hi)) < 0
-    return done
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        _nonzero_value(f, mid, k, "isolation")
+        left = sturm_count_halfopen(chain, lo, mid, k)
+        stack.append((lo, mid, k, left))
+        stack.append((mid, hi, k, count - left))
+    return sorted(done)
+
+
+def _halvings(span: Fraction, width: Fraction) -> int:
+    """Least s >= 0 with span / 2^s <= width, for width > 0."""
+    if span <= width:
+        return 0
+    ratio = span / width
+    s = max(ratio.numerator.bit_length() - ratio.denominator.bit_length(), 0)
+    return s + (ratio.denominator << s < ratio.numerator)
+
+
+def _on_unit_interval(f, lo: Fraction, hi: Fraction):
+    """Integer h(t), a positive multiple of f(lo + t*(hi - lo))."""
+    q = math.lcm(lo.denominator, hi.denominator)
+    start = lo.numerator * (q // lo.denominator)
+    span = hi.numerator * (q // hi.denominator) - start
+    h = []
+    for i, c in enumerate(reversed(_integral(f))):
+        # Horner step h <- h * (start + span*t) + c * q^i
+        nxt = [x * start for x in h] + [0]
+        for j, x in enumerate(h):
+            nxt[j + 1] += x * span
+        nxt[0] += c * q**i
+        h = nxt
+    return tuple(h)
+
+
+def _locate(h, s: int, a: int = 0, k: int = 0) -> int:
+    """Index j of the cell [j/2^s, (j+1)/2^s] that holds the one root of h in
+    the cell [a/2^k, (a+1)/2^k] (k <= s), at whose ends h has opposite signs.
+
+    Abbott's quadratic interval refinement (J. Abbott, "Quadratic Interval
+    Refinement for Real Roots", 2006) on the dyadic grid: the secant through
+    the current cell's ends, rounded to the grid `jump` levels finer, names a
+    point m, and the neighbouring cell of m towards the root is accepted only
+    when h has opposite nonzero signs at both of its ends. Success doubles
+    jump (squares the number of subcells), failure halves it, and a jump of 1
+    is a bisection step. Near the root the accepted jumps keep doubling, so
+    about log2(s) steps reach level s.
+    """
+    va, vb = _scaled_value(h, a, k), _scaled_value(h, a + 1, k)
+    if va == 0 or vb == 0 or (va > 0) == (vb > 0):
+        raise InternalInvariant("refinement needs a sign change on the bracket")
+    d = len(h) - 1
+    jump = 2
+    while k < s:
+        step = min(jump, s - k)
+        if step == 1:
+            a, k = 2 * a, k + 1
+            mid = _nonzero_value(h, a + 1, k, "refinement")
+            if (mid > 0) == (va > 0):
+                a, va, vb = a + 1, mid, vb << d
+            else:
+                va, vb = va << d, mid
+            jump = 2
+            continue
+        num, den = va << step, va - vb
+        if den < 0:
+            num, den = -num, -den
+        m = (a << step) + (2 * num + den) // (2 * den)
+        vm = _nonzero_value(h, m, k + step, "refinement")
+        n = m + 1 if (vm > 0) == (va > 0) else m - 1
+        vn = _nonzero_value(h, n, k + step, "refinement")
+        if (vn > 0) == (vm > 0):
+            jump //= 2
+            continue
+        # h changes sign on the cell between m and n: the root is there
+        a, k = min(m, n), k + step
+        va, vb = (vm, vn) if m < n else (vn, vm)
+        jump *= 2
+    return a
 
 
 def refine_sign_change(f, lo: Fraction, hi: Fraction, width: Fraction):
-    """Bisect a sign-changing bracket until hi - lo <= width."""
-    slo = _sign(eval_at(f, lo))
-    assert slo != 0 and slo * _sign(eval_at(f, hi)) < 0
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        smid = _sign(eval_at(f, mid))
-        assert smid != 0, "rational root hit during refinement"
-        if smid == slo:
-            lo = mid
-        else:
-            hi = mid
+    """The cell of width <= width that bisecting [lo, hi] ends in.
+
+    [lo, hi] must hold exactly one root of f, a simple one, with f of opposite
+    signs at lo and hi (an isolating interval). Bisection halves it s times,
+    s the least count with (hi - lo)/2^s <= width, and ends in the cell
+    [lo + j*w, lo + (j+1)*w], w = (hi - lo)/2^s, that holds the root; _locate
+    finds the same j in about log2(s) certified steps.
+    """
+    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    if width <= 0:
+        raise InternalInvariant("refinement width must be positive")
+    s = _halvings(hi - lo, width)
+    j = _locate(_on_unit_interval(f, lo, hi), s)
+    w = (hi - lo) / (1 << s)
+    return lo + j * w, lo + (j + 1) * w
+
+
+def _enclosure(g, a: int, k: int):
+    """Integers bounding 2^(k*deg g) * g(t) over the cell [a/2^k, (a+1)/2^k],
+    by interval Horner."""
+    lo = hi = 0
+    shift = 0
+    for c in reversed(g):
+        products = (lo * a, lo * (a + 1), hi * a, hi * (a + 1))
+        lo, hi = min(products) + (c << shift), max(products) + (c << shift)
+        shift += k
     return lo, hi
+
+
+def sign_at_root(g, f, lo: Fraction, hi: Fraction):
+    """Certified sign of g at the unique root of f in [lo, hi].
+
+    Returns (sign, (lo, hi)) where the returned interval is the bisection cell
+    of [lo, hi] whose interval Horner enclosure of g witnessed the sign; the
+    cells are refined to levels 0, 2, 4, 8, ... down to MIN_WIDTH. g must be
+    nonzero at the root; for g of degree less than deg(f) with f irreducible
+    this is automatic. Degenerate intervals (rational root) evaluate exactly.
+    """
+    if lo == hi:
+        s = _sign(eval_at(g, lo))
+        if s == 0:
+            raise InternalInvariant("g vanishes at the rational root")
+        return s, (lo, hi)
+    lo, hi = Fraction(lo), Fraction(hi)
+    h, gt = _on_unit_interval(f, lo, hi), _on_unit_interval(g, lo, hi)
+    floor = _halvings(hi - lo, MIN_WIDTH)
+    a = k = 0
+    while True:
+        elo, ehi = _enclosure(gt, a, k)
+        if elo > 0 or ehi < 0:
+            w = (hi - lo) / (1 << k)
+            return (1 if elo > 0 else -1), (lo + a * w, lo + (a + 1) * w)
+        if k == floor:
+            raise PrecisionExhausted(f"sign of {g} not separated from 0 at "
+                                     f"interval width {(hi - lo) / (1 << k)}")
+        level = min(max(2 * k, 2), floor)
+        a, k = _locate(h, level, a, k), level
 
 
 # ---- interval arithmetic ----
@@ -240,30 +392,6 @@ def interval_eval(c, lo: Fraction, hi: Fraction):
         acc = interval_mul(acc, (lo, hi))
         acc = (acc[0] + coef, acc[1] + coef)
     return acc
-
-
-def sign_at_root(g, f, lo: Fraction, hi: Fraction):
-    """Certified sign of g at the unique root of f in [lo, hi].
-
-    Returns (sign, (lo, hi)) where the returned interval is the refinement that
-    witnessed the sign. g must be nonzero at the root; for g of degree less
-    than deg(f) with f irreducible this is automatic. Degenerate intervals
-    (rational root) evaluate exactly.
-    """
-    if lo == hi:
-        s = _sign(eval_at(g, lo))
-        assert s != 0, "g vanishes at the rational root"
-        return s, (lo, hi)
-    while True:
-        elo, ehi = interval_eval(g, lo, hi)
-        if elo > 0:
-            return 1, (lo, hi)
-        if ehi < 0:
-            return -1, (lo, hi)
-        if hi - lo <= MIN_WIDTH:
-            raise PrecisionExhausted(
-                f"sign of {g} not separated from 0 at interval width {hi - lo}")
-        lo, hi = refine_sign_change(f, lo, hi, (hi - lo) / 4)
 
 
 # ---- irreducibility over Q, monic integer input, degree <= 4 ----

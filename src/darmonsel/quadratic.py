@@ -17,7 +17,6 @@ from functools import cached_property
 
 from . import polyarith, polymod
 from .errors import (
-    InputError,
     IsSquare,
     NoRealPlace,
     PrecisionExhausted,
@@ -30,6 +29,7 @@ from .fields import (
     local_expansion,
     primes_above,
     real_embeddings,
+    _integer_coefficients,
 )
 from .intmath import primes_below
 
@@ -71,12 +71,10 @@ def make_extension(F: NumberField, delta_coeffs) -> QuadraticExtension:
     """Certify K = F(sqrt(delta)): delta nonzero, not a square, and positive
     at some real place (K must have at least one real place).
 
-    Raises ZeroDelta, NoRealPlace, IsSquare.
+    Raises ZeroDelta, NoRealPlace, IsSquare, and InputError for a
+    coefficient that is not an integer.
     """
-    try:
-        coeffs = tuple(int(c) for c in delta_coeffs)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"delta must be integer coefficients: {delta_coeffs!r}") from exc
+    coeffs = _integer_coefficients(delta_coeffs, "delta coefficients")
     delta = polyarith.reduce_mod_poly(coeffs, F.defining_poly)
     if not delta:
         raise ZeroDelta("delta = 0 in Z[theta]")

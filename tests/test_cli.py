@@ -323,3 +323,31 @@ def test_one_real_place_computation_per_decision(monkeypatch):
         code, report, _ = run_single(config_from_doc(doc))
         assert code in (0, 2) and report is not None
         assert calls == {"isolate_real_roots": 1, "sign_at_root": degree}, doc
+
+
+def test_run_batch_turns_an_untyped_failure_into_its_error_row(monkeypatch, tmp_path):
+    # an exception outside the DarmonselError tree ends only its own record
+    import darmonsel.cli as cli
+
+    original = cli.run_single
+
+    def flaky(config):
+        if config.config_id == "b-boom":
+            raise RuntimeError("boom")
+        return original(config)
+
+    monkeypatch.setattr(cli, "run_single", flaky)
+    corpus = [GOLDEN_22 | {"id": "a-ok"}, GOLDEN_6 | {"id": "b-boom"},
+              GOLDEN_ATR | {"id": "c-ok"}]
+    path = write_json(tmp_path / "corpus.json", corpus)
+    code, summary = run_batch(path, str(tmp_path / "out"))
+    assert code == 1
+    by_id = {r["id"]: r for r in summary["rows"]}
+    assert by_id["b-boom"]["verdict"] == "ERROR"
+    assert by_id["b-boom"]["error"] == "RuntimeError: boom"
+    assert "in flaky" in by_id["b-boom"]["traceback"]
+    assert "traceback" not in by_id["a-ok"]
+    assert by_id["a-ok"]["verdict"] == "feasible"
+    assert by_id["c-ok"]["verdict"] == "feasible"
+    assert (tmp_path / "out" / "c-ok.json").exists()
+    assert json.loads((tmp_path / "out" / "summary.json").read_text()) == summary

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darmonsel.errors import DiscNotCoprime
+from darmonsel import oracle
+from darmonsel.errors import DiscNotCoprime, SearchSpaceTooLarge
 from darmonsel.feasibility import (
+    SUBSET_BOUND,
     Kind,
     QuaternionAlgebraSpec,
     ReasonCode,
@@ -15,6 +17,7 @@ from darmonsel.feasibility import (
     validate_spec,
 )
 from darmonsel.fields import IdealFactorization, factor_ideal, parse_field, primes_above
+from darmonsel.intmath import is_prime
 from darmonsel.quadratic import PlaceType, classify_finite_prime, make_extension
 
 
@@ -301,3 +304,30 @@ def test_validate_spec_raises_internal_invariant_under_optimize(run_optimized):
     """)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("InternalInvariant: greenberg[0] fails (viii), C4")
+
+
+def test_widened_selector_refuses_past_the_subset_bound(K_atr):
+    # 21 exact inert primes: the widened selector would walk 2^21 subsets, one
+    # doubling past the bound it shares with the oracle, so it raises
+    assert oracle.SUBSET_BOUND is SUBSET_BOUND == 20
+    F = K_atr.base
+    inert = []
+    p = 2
+    while len(inert) < SUBSET_BOUND + 1:
+        p += 1
+        if p in F.index_warning_primes or not is_prime(p):
+            continue
+        inert += [P for P in primes_above(F, p)
+                  if classify_finite_prime(K_atr, P) is PlaceType.INERT]
+    N = IdealFactorization.from_pairs((P, 1) for P in inert[:SUBSET_BOUND + 1])
+    prof = build_profile(K_atr, N)
+    assert len(prof.inert_finite) == SUBSET_BOUND + 1
+    with pytest.raises(SearchSpaceTooLarge, match="subset bound"):
+        select_gartner(prof, allow_drop_b4=True)
+    with pytest.raises(SearchSpaceTooLarge):
+        feasibility_report(K_atr, N, allow_drop_b4=True)
+    # the default selector walks one subset per inert real place: all 21
+    # primes ramify, an odd count, so it answers (empty) instead of raising
+    assert select_gartner(prof) == ()
+    reasons = feasibility_report(K_atr, N).failure_reasons
+    assert ReasonCode.PARITY_OBSTRUCTION in {r.code for r in reasons}

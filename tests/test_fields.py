@@ -314,3 +314,13 @@ def test_valuations_match_sympy(F_sqrt2_full, F_cubic_full):
     # sympy 1.14 refuses 9 of these principal ideals (CoercionFailed in
     # valuation, e.g. 3 + theta at (13, x + 3) in the cubic)
     assert compared + refused == 299 and compared >= 290
+
+
+def test_factor_ideal_refuses_non_integer_generator(F_rat, F_sqrt2):
+    # int() would truncate 6.9 to 6, giving (2) * (3)
+    for generator in ([6.9], [Fraction(13, 2)], [1, 0.5], ["6"], [None]):
+        with pytest.raises(InputError, match="generator coefficients"):
+            factor_ideal(F_rat if len(generator) == 1 else F_sqrt2,
+                         generator=generator)
+    # integral values of other numeric types are still integers
+    assert factor_ideal(F_rat, generator=[6.0]) == factor_ideal(F_rat, generator=[6])

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from darmonsel import polyarith
 from darmonsel.errors import PrecisionExhausted
+from darmonsel.fields import DEFAULT_PRECISION, parse_field, real_embeddings
 from darmonsel.polyarith import (
     cauchy_bound,
     derivative,
@@ -22,6 +24,7 @@ from darmonsel.polyarith import (
     sturm_chain,
     trim,
 )
+from darmonsel.polymod import deg
 
 COEFFS = st.lists(st.integers(-9, 9), min_size=1, max_size=5)
 
@@ -171,3 +174,150 @@ def test_sturm_chain_endpoints():
     chain = sturm_chain((-2, 0, 1))
     assert chain[0] == (-2, 0, 1)
     assert trim(derivative((-2, 0, 1))) == chain[1]
+
+
+# ---- the real-root kernel against Fraction bisection ----
+
+def fraction_bisection_cells(f, lo, hi, width):
+    """Every cell plain Fraction bisection visits on [lo, hi] until its width
+    is <= width, from [lo, hi] itself on: the reference for
+    refine_sign_change, written independently of the kernel."""
+    def sign(x):
+        # sign of d^deg * f(n/d), d > 0
+        n, d = x.numerator, x.denominator
+        value, power = 0, 1
+        for c in reversed(f):
+            value, power = value * n + c * power, power * d
+        return (value > 0) - (value < 0)
+    lo, hi = Fraction(lo), Fraction(hi)
+    at_lo = sign(lo)
+    cells = [(lo, hi)]
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        at_mid = sign(mid)
+        assert at_mid != 0
+        if at_mid == at_lo:
+            lo = mid
+        else:
+            hi = mid
+        cells.append((lo, hi))
+    return cells
+
+
+def first_cell_within(cells, width):
+    return next(c for c in cells if c[1] - c[0] <= width)
+
+
+@st.composite
+def totally_real_polys(draw):
+    """(x - a_1)...(x - a_d) +- 1 with integer a_i at least 3 apart: |g| >= 2
+    at each a_i + 1, so the sign still alternates there and all d roots are
+    real; it has no rational root, and assume() drops a rare quartic that
+    splits into quadratics."""
+    degree = draw(st.integers(2, 4))
+    roots = [draw(st.integers(-20, 20))]
+    for _ in range(degree - 1):
+        roots.append(roots[-1] + draw(st.integers(3, 12)))
+    f = (1,)
+    for r in roots:
+        f = mul(f, (-r, 1))
+    f = (f[0] + draw(st.sampled_from((-1, 1))),) + f[1:]
+    assume(is_irreducible_monic_int(f))
+    return f
+
+
+@given(totally_real_polys(), st.integers(0, 3), st.integers(1, 4096),
+       st.lists(st.tuples(st.integers(0, 4096),
+                          st.integers(1, 2**63).map(lambda n: 2 * n + 1)), max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_refinement_lands_in_the_bisection_cell(f, which, bits, skewed):
+    roots = isolate_real_roots(f)
+    assert len(roots) == deg(f)
+    lo, hi = roots[which % len(roots)]
+    finest = Fraction(1, 2**bits)
+    cells = fraction_bisection_cells(f, lo, hi, finest)
+    # non-dyadic widths (q+1)/q * 2^-b, q odd, all inside the walk
+    widths = [finest] + [Fraction(q + 1, q) / 2**min(b, bits) for b, q in skewed]
+    for width in widths:
+        assert refine_sign_change(f, lo, hi, width) == first_cell_within(cells, width)
+
+
+KERNEL_FIELDS = [(-2, 0, 1), (-5, 0, 1), (-1, -2, 1, 1), (1, 0, -4, 0, 1),
+                 (2, 0, -4, 0, 1), (-1, -6, -6, 1), (5, 0, -5, 0, 1)]
+
+
+@pytest.mark.parametrize("f", KERNEL_FIELDS)
+def test_refined_cells_hold_the_matching_root_sympy(f):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(f)), x)
+    F = parse_field(f)
+    for bits in (1, 32, 255, 1024, 4096):
+        places = real_embeddings(F, Fraction(1, 2**bits))
+        assert len(places) == len(poly.real_roots())
+        for i, v in enumerate(places):
+            lo = sympy.Rational(v.lo.numerator, v.lo.denominator)
+            hi = sympy.Rational(v.hi.numerator, v.hi.denominator)
+            # exactly one root in the cell, and i roots below it
+            assert poly.count_roots(lo, hi) == 1, (f, bits, i)
+            assert poly.count_roots(-sympy.oo, lo) == i, (f, bits, i)
+
+
+def test_refinement_work_grows_with_log_bits(monkeypatch):
+    # plain bisection makes one sign evaluation per bit: about 4100 per root
+    calls = []
+    original = polyarith._scaled_value
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    f = (1, 0, -4, 0, 1)  # x^4 - 4x^2 + 1, roots +-(sqrt6 +- sqrt2)/2
+    roots = isolate_real_roots(f)
+    monkeypatch.setattr(polyarith, "_scaled_value", counted)
+    for lo, hi in roots:
+        refine_sign_change(f, lo, hi, Fraction(1, 2**4096))
+    assert len(calls) <= 300
+    calls.clear()
+    for lo, hi in roots:
+        refine_sign_change(f, lo, hi, DEFAULT_PRECISION)
+    assert len(calls) <= 100
+
+
+def test_refine_sign_change_keeps_a_narrow_bracket():
+    lo, hi = Fraction(1), Fraction(3, 2)
+    assert refine_sign_change((-2, 0, 1), lo, hi, Fraction(1, 2)) == (lo, hi)
+    assert refine_sign_change((-2, 0, 1), lo, hi, Fraction(1)) == (lo, hi)
+
+
+def test_kernel_invariants_survive_optimize(run_optimized):
+    out = run_optimized("""
+        from fractions import Fraction
+        from darmonsel.errors import InternalInvariant
+        from darmonsel.fields import RealPlace
+        from darmonsel.polyarith import (isolate_real_roots, refine_sign_change,
+                                         sign_at_root)
+        assert False, "asserts must be stripped"
+        cases = [
+            # x^3 - 2x: the first midpoint of (-4, 4] is the root 0
+            lambda: isolate_real_roots((0, -2, 0, 1)),
+            # (x^2 - 2)^2: one distinct root in a cell, and no sign change
+            lambda: isolate_real_roots((4, 0, -4, 0, 1)),
+            # x^2 - 2 is negative at both ends of [0, 1]
+            lambda: refine_sign_change((-2, 0, 1), 0, 1, Fraction(1, 8)),
+            # 4x^2 - 1 vanishes at the grid point 1/2 of [0, 1]
+            lambda: refine_sign_change((-1, 0, 4), 0, 1, Fraction(1, 4)),
+            lambda: refine_sign_change((-2, 0, 1), 1, 2, 0),
+            # g = x - 1 vanishes at the rational root of f = x - 1
+            lambda: sign_at_root((-1, 1), (-1, 1), Fraction(1), Fraction(1)),
+            lambda: RealPlace(1, Fraction(1), Fraction(0), Fraction(1)),
+            lambda: RealPlace(1, Fraction(0), Fraction(1), Fraction(1, 2)),
+        ]
+        for case in cases:
+            try:
+                case()
+                print("no error")
+            except InternalInvariant:
+                print("InternalInvariant")
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["InternalInvariant"] * 8

@@ -59,6 +59,14 @@ def test_make_extension_rejections(F_rat, F_sqrt2):
         make_extension(F_rat, ["x"])
 
 
+def test_make_extension_refuses_non_integer_delta(F_rat, F_sqrt2):
+    # int() would truncate 5.5 to 5 and build Q(sqrt5)
+    for field, delta in ((F_rat, [5.5]), (F_rat, ["5"]), (F_sqrt2, [0, 1.25])):
+        with pytest.raises(InputError, match="delta coefficients"):
+            make_extension(field, delta)
+    assert make_extension(F_rat, [5.0]).delta == (5,)
+
+
 def test_certificate_prime(K_sqrt5):
     # 5 is a non-residue mod 3, the first odd prime checked
     assert K_sqrt5.certificate is not None
