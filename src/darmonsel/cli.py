@@ -5,12 +5,9 @@ validation error (including an oracle mismatch under --oracle). The machine
 report goes to --out (or stdout), the human trace to stderr unless --no-trace.
 """
 
-import argparse
 import json
 import re
 import sys
-import traceback
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,8 +173,7 @@ def run_batch(corpus_path: str, output_dir: str,
         try:
             config = config_from_doc(doc)
             if override is not None:
-                config = replace(config, options=_merge_options(
-                    config.options, override))
+                config = _with_options(config, override)
             code, report_json, trace = run_single(config)
             if code == 1:
                 row["error"] = trace
@@ -195,6 +191,7 @@ def run_batch(corpus_path: str, output_dir: str,
             # row keeps the traceback
             row["error"] = f"{type(e).__name__}: {e}"
             if not isinstance(e, DarmonselError):
+                import traceback
                 row["traceback"] = traceback.format_exc()
             any_error = True
         rows.append(row)
@@ -205,18 +202,22 @@ def run_batch(corpus_path: str, output_dir: str,
     return (1 if any_error else 0), summary
 
 
-def _merge_options(base: Options, override: Options) -> Options:
+def _with_options(config: InputConfig, override: Options) -> InputConfig:
     # command-line flags strengthen per-record options, never weaken them; a
     # given precision replaces the record's, None keeps it
-    return Options(
+    base = config.options
+    options = Options(
         allow_drop_b4=base.allow_drop_b4 or override.allow_drop_b4,
         oracle_check=base.oracle_check or override.oracle_check,
         precision_bits=(base.precision_bits if override.precision_bits is None
                         else override.precision_bits),
     )
+    return InputConfig(config.field_poly, config.delta, config.conductor,
+                       config.order_conductor, options, config.config_id)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only the command line needs it
     parser = argparse.ArgumentParser(
         prog="darmonsel",
         description="Decide which modular point construction applies for a "
@@ -280,7 +281,7 @@ def main(argv=None) -> int:
     except DarmonselError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    config = replace(config, options=_merge_options(config.options, override))
+    config = _with_options(config, override)
     code, report_json, trace = run_single(config)
     if code == 1:
         print(trace, file=sys.stderr)

@@ -19,7 +19,6 @@ machine report all read that one log.
 """
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -28,6 +27,7 @@ from .errors import DiscNotCoprime, InternalInvariant, SearchSpaceTooLarge
 from .fields import (DEFAULT_PRECISION, IdealFactorization, PrimeIdeal,
                      RealPlace, real_embeddings)
 from .quadratic import PlaceType, QuadraticExtension, classify_conductor
+from .record import Record, set_field
 
 
 class Kind(Enum):
@@ -44,14 +44,14 @@ class ReasonCode(Enum):
     PARITY_OBSTRUCTION = "ParityObstruction"
 
 
-@dataclass(frozen=True)
-class Reason:
-    code: ReasonCode
-    detail: str = ""
+class Reason(Record):
+    def __init__(self, code: ReasonCode, detail: str = ""):
+        set_field(self, "code", code)
+        set_field(self, "detail", detail)
+        set_field(self, "_key", (code, detail))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One evaluated structural check.
 
     label names the assumption (B1, B3, B4, C1..C4, A, (iv), (vii), (viii)).
@@ -61,10 +61,12 @@ class Check:
     REASON_OF_LABEL carries the failure reason's text as its detail.
     """
 
-    label: str
-    subject: str
-    ok: bool
-    detail: str
+    def __init__(self, label: str, subject: str, ok: bool, detail: str):
+        set_field(self, "label", label)
+        set_field(self, "subject", subject)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
+        set_field(self, "_key", (label, subject, ok, detail))
 
 
 # log2 of the most subsets a search may walk: the widened (drop-B4) selector
@@ -80,14 +82,18 @@ REASON_OF_LABEL = {
 }
 
 
-@dataclass(frozen=True)
-class ConductorProfile:
+class ConductorProfile(Record):
     """Everything the selectors need, classified once."""
 
-    extension: QuadraticExtension
-    conductor: IdealFactorization
-    real_classes: tuple[tuple[RealPlace, PlaceType], ...]
-    finite_classes: tuple[tuple[PrimeIdeal, int, PlaceType], ...]
+    def __init__(self, extension: QuadraticExtension, conductor: IdealFactorization,
+                 real_classes: tuple[tuple[RealPlace, PlaceType], ...],
+                 finite_classes: tuple[tuple[PrimeIdeal, int, PlaceType], ...]):
+        set_field(self, "extension", extension)
+        set_field(self, "conductor", conductor)
+        set_field(self, "real_classes", real_classes)
+        set_field(self, "finite_classes", finite_classes)
+        set_field(self, "_key",
+                  (extension, conductor, real_classes, finite_classes))
 
     @cached_property
     def inert_real_places(self) -> tuple[RealPlace, ...]:
@@ -110,8 +116,7 @@ class ConductorProfile:
         return all(t is not PlaceType.RAMIFIED for _, _, t in self.finite_classes)
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebraSpec:
+class QuaternionAlgebraSpec(Record):
     """One admissible quaternion algebra plus Eichler level splitting.
 
     ramified_real and ramified_finite are the ramification set of B (always an
@@ -120,27 +125,34 @@ class QuaternionAlgebraSpec:
     (greenberg).
     """
 
-    kind: Kind
-    distinguished: RealPlace | PrimeIdeal
-    ramified_real: tuple[RealPlace, ...]
-    ramified_finite: tuple[PrimeIdeal, ...]
-    n_plus: IdealFactorization
-    n_prime: IdealFactorization
-    n_minus: IdealFactorization
-
-    def __post_init__(self):
-        assert (len(self.ramified_real) + len(self.ramified_finite)) % 2 == 0
-        assert tuple(sorted(self.ramified_real, key=lambda v: v.index)) == self.ramified_real
-        assert tuple(sorted(self.ramified_finite, key=lambda P: P.sort_key)) == self.ramified_finite
-        assert self.n_minus.all_exponents_one()
-        assert self.n_minus.primes() == self.ramified_finite
-        if self.kind is Kind.GARTNER:
-            assert isinstance(self.distinguished, RealPlace)
-            assert self.n_prime.is_unit
-            assert self.distinguished not in self.ramified_real
+    def __init__(self, kind: Kind, distinguished: RealPlace | PrimeIdeal,
+                 ramified_real: tuple[RealPlace, ...],
+                 ramified_finite: tuple[PrimeIdeal, ...],
+                 n_plus: IdealFactorization, n_prime: IdealFactorization,
+                 n_minus: IdealFactorization):
+        if kind is Kind.GARTNER:
+            shape = (isinstance(distinguished, RealPlace) and n_prime.is_unit
+                     and distinguished not in ramified_real)
         else:
-            assert isinstance(self.distinguished, PrimeIdeal)
-            assert self.n_prime.factors == ((self.distinguished, 1),)
+            shape = (isinstance(distinguished, PrimeIdeal)
+                     and n_prime.factors == ((distinguished, 1),))
+        if not (shape and (len(ramified_real) + len(ramified_finite)) % 2 == 0
+                and ramified_real == tuple(sorted(ramified_real, key=lambda v: v.index))
+                and ramified_finite == tuple(sorted(ramified_finite,
+                                                    key=lambda P: P.sort_key))
+                and n_minus.all_exponents_one()
+                and n_minus.primes() == ramified_finite):
+            raise InternalInvariant(f"malformed {kind.value} spec: N- = {n_minus}, "
+                                    f"ramified primes {ramified_finite}")
+        set_field(self, "kind", kind)
+        set_field(self, "distinguished", distinguished)
+        set_field(self, "ramified_real", ramified_real)
+        set_field(self, "ramified_finite", ramified_finite)
+        set_field(self, "n_plus", n_plus)
+        set_field(self, "n_prime", n_prime)
+        set_field(self, "n_minus", n_minus)
+        set_field(self, "_key", (kind, distinguished, ramified_real,
+                                 ramified_finite, n_plus, n_prime, n_minus))
 
     @property
     def sort_key(self):
@@ -151,16 +163,24 @@ class QuaternionAlgebraSpec:
                 tuple(P.sort_key for P in self.ramified_finite))
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    profile: ConductorProfile
-    sign: int
-    gartner_options: tuple[QuaternionAlgebraSpec, ...]
-    greenberg_options: tuple[QuaternionAlgebraSpec, ...]
-    checks: tuple[Check, ...]
-    theorem1_consistent: bool
-    order_conductor: IdealFactorization | None = None
-    assumed: tuple[str, ...] = ("B2",)
+class FeasibilityReport(Record):
+    def __init__(self, profile: ConductorProfile, sign: int,
+                 gartner_options: tuple[QuaternionAlgebraSpec, ...],
+                 greenberg_options: tuple[QuaternionAlgebraSpec, ...],
+                 checks: tuple[Check, ...], theorem1_consistent: bool,
+                 order_conductor: IdealFactorization | None = None,
+                 assumed: tuple[str, ...] = ("B2",)):
+        set_field(self, "profile", profile)
+        set_field(self, "sign", sign)
+        set_field(self, "gartner_options", gartner_options)
+        set_field(self, "greenberg_options", greenberg_options)
+        set_field(self, "checks", checks)
+        set_field(self, "theorem1_consistent", theorem1_consistent)
+        set_field(self, "order_conductor", order_conductor)
+        set_field(self, "assumed", assumed)
+        set_field(self, "_key", (profile, sign, gartner_options, greenberg_options,
+                                 checks, theorem1_consistent, order_conductor,
+                                 assumed))
 
     @property
     def feasible(self) -> bool:

@@ -9,7 +9,6 @@ are not certified by mod-p factorization and must be registered explicitly
 by the caller.
 """
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,31 +25,31 @@ from .errors import (
     NotTotallyReal,
 )
 from .intmath import factor_within_bound, factorize, is_prime
+from .record import Record, set_field
 
 DEFAULT_PRECISION = Fraction(1, 2**32)
 DEFAULT_TRIAL_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(Record):
     """Prime of O_F in Kummer-Dedekind form.
 
     local_factor is monic over F_p (little-endian, entries in [0,p)), f is its
     degree, e the ramification index. Residue field F_(p^f).
     """
 
-    p: int
-    local_factor: tuple[int, ...]
-    e: int
-    f: int
-
-    def __post_init__(self):
-        if not self.local_factor or self.local_factor[-1] != 1:
+    def __init__(self, p: int, local_factor: tuple[int, ...], e: int, f: int):
+        if not local_factor or local_factor[-1] != 1:
             raise InputError("local_factor must be monic")
-        if self.f != len(self.local_factor) - 1:
+        if f != len(local_factor) - 1:
             raise InputError("prime ideal f must be the degree of local_factor")
-        if self.e < 1:
+        if e < 1:
             raise InputError("prime ideal e must be at least 1")
+        set_field(self, "p", p)
+        set_field(self, "local_factor", local_factor)
+        set_field(self, "e", e)
+        set_field(self, "f", f)
+        set_field(self, "_key", (p, local_factor, e, f))
 
     @property
     def norm(self) -> int:
@@ -85,25 +84,23 @@ def _poly_str(c) -> str:
     return " + ".join(reversed(terms)) if terms else "0"
 
 
-@dataclass(frozen=True)
-class RealPlace:
+class RealPlace(Record):
     """Embedding F -> R, certified by an isolating interval for its root.
 
     lo == hi is allowed (rational root, degree 1 only) and means the embedding
     is exact. precision is the width bound the interval was refined to.
     """
 
-    index: int
-    lo: Fraction
-    hi: Fraction
-    precision: Fraction
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise InternalInvariant(f"real place interval [{self.lo}, {self.hi}] "
-                                    "is reversed")
-        if self.hi - self.lo > self.precision:
-            raise InternalInvariant(f"real place interval wider than {self.precision}")
+    def __init__(self, index: int, lo: Fraction, hi: Fraction, precision: Fraction):
+        if not lo <= hi:
+            raise InternalInvariant(f"real place interval [{lo}, {hi}] is reversed")
+        if hi - lo > precision:
+            raise InternalInvariant(f"real place interval wider than {precision}")
+        set_field(self, "index", index)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "precision", precision)
+        set_field(self, "_key", (index, lo, hi, precision))
 
     @property
     def width(self) -> Fraction:
@@ -113,14 +110,18 @@ class RealPlace:
         return f"v{self.index}[{float(self.lo):.6f}, {float(self.hi):.6f}]"
 
 
-@dataclass(frozen=True)
-class NumberField:
-    degree: int
-    defining_poly: tuple[int, ...]
-    poly_disc: int
-    index_warning_primes: frozenset[int]
-    # explicit Kummer-Dedekind data registered for warned primes
-    explicit_primes: tuple[tuple[int, tuple[PrimeIdeal, ...]], ...] = field(default=())
+class NumberField(Record):
+    def __init__(self, degree: int, defining_poly: tuple[int, ...], poly_disc: int,
+                 index_warning_primes: frozenset[int],
+                 explicit_primes: tuple[tuple[int, tuple[PrimeIdeal, ...]], ...] = ()):
+        # explicit_primes: Kummer-Dedekind data registered for warned primes
+        set_field(self, "degree", degree)
+        set_field(self, "defining_poly", defining_poly)
+        set_field(self, "poly_disc", poly_disc)
+        set_field(self, "index_warning_primes", index_warning_primes)
+        set_field(self, "explicit_primes", explicit_primes)
+        set_field(self, "_key", (degree, defining_poly, poly_disc,
+                                 index_warning_primes, explicit_primes))
 
     @cached_property
     def root_intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -145,7 +146,8 @@ class NumberField:
         if len({pr.local_factor for pr in primes}) != len(primes):
             raise InputError("explicit primes must have distinct local factors")
         table = tuple(t for t in self.explicit_primes if t[0] != p) + ((p, primes),)
-        return replace(self, explicit_primes=tuple(sorted(table)))
+        return NumberField(self.degree, self.defining_poly, self.poly_disc,
+                           self.index_warning_primes, tuple(sorted(table)))
 
     def __str__(self):
         return f"Q[x]/({_poly_str(self.defining_poly)})"
@@ -253,16 +255,17 @@ def primes_above(F: NumberField, p: int):
     return primes
 
 
-@dataclass(frozen=True)
-class IdealFactorization:
+class IdealFactorization(Record):
     """Integral ideal in factored form; the empty product is the unit ideal."""
 
-    factors: tuple[tuple[PrimeIdeal, int], ...]
-
-    def __post_init__(self):
-        keys = [P.sort_key for P, _ in self.factors]
-        assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        assert all(e >= 1 for _, e in self.factors)
+    def __init__(self, factors: tuple[tuple[PrimeIdeal, int], ...]):
+        keys = [P.sort_key for P, _ in factors]
+        if keys != sorted(keys) or len(set(keys)) != len(keys):
+            raise InternalInvariant("ideal factors must be distinct and sorted")
+        if not all(e >= 1 for _, e in factors):
+            raise InternalInvariant("ideal exponents must be at least 1")
+        set_field(self, "factors", factors)
+        set_field(self, "_key", (factors,))
 
     @classmethod
     def unit(cls) -> "IdealFactorization":
@@ -275,8 +278,7 @@ class IdealFactorization:
             merged[P] = merged.get(P, 0) + e
         kept = tuple(sorted(((P, e) for P, e in merged.items() if e != 0),
                             key=lambda t: t[0].sort_key))
-        assert all(e > 0 for _, e in kept)
-        return cls(factors=kept)
+        return cls(factors=kept)  # a negative exponent fails its check
 
     @property
     def is_unit(self) -> bool:

@@ -10,7 +10,6 @@ exhaustive square testing at the precision where 2-adic squares stabilize
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -32,6 +31,7 @@ from .fields import (
     _integer_coefficients,
 )
 from .intmath import primes_below
+from .record import Record, set_field
 
 
 class PlaceType(Enum):
@@ -40,15 +40,17 @@ class PlaceType(Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class QuadraticExtension:
+class QuadraticExtension(Record):
     """K = F(sqrt(delta)). certificate, when present, is a prime at which
     delta is a certified non-residue; None means non-squareness was proven by
     the reconstruction fallback instead."""
 
-    base: NumberField
-    delta: tuple[int, ...]
-    certificate: PrimeIdeal | None = None
+    def __init__(self, base: NumberField, delta: tuple[int, ...],
+                 certificate: PrimeIdeal | None = None):
+        set_field(self, "base", base)
+        set_field(self, "delta", delta)
+        set_field(self, "certificate", certificate)
+        set_field(self, "_key", (base, delta, certificate))
 
     @cached_property
     def real_signs(self) -> tuple[int, ...]:
@@ -65,6 +67,7 @@ class QuadraticExtension:
 
 RESIDUE_TESTS = 20
 CERTIFICATE_PRIME_CAP = 1000
+FIRST_SIEVE = 1024
 
 
 def make_extension(F: NumberField, delta_coeffs) -> QuadraticExtension:
@@ -114,7 +117,9 @@ def make_extension(F: NumberField, delta_coeffs) -> QuadraticExtension:
         root = _exact_square_root(F, delta)
         if root is not None:
             raise IsSquare(f"delta = ({_coeff_str(root)})^2 in F")
+    # set in place, in the field and in the key that equality and hashing read
     object.__setattr__(K, "certificate", certificate)
+    object.__setattr__(K, "_key", (F, delta, certificate))
     return K
 
 
@@ -123,10 +128,18 @@ def _coeff_str(coeffs) -> str:
 
 
 def _odd_unwarned_primes(F: NumberField):
-    for p in primes_below(10**5):
+    for p in _primes_in_stages():
         if p == 2 or p in F.index_warning_primes:
             continue
         yield p
+
+
+def _primes_in_stages():
+    # a decision settles within a few dozen primes, so the sieve to 10^5 runs
+    # only for one that walks past the primes below FIRST_SIEVE
+    small = primes_below(FIRST_SIEVE)
+    yield from small
+    yield from itertools.islice(primes_below(10**5), len(small), None)
 
 
 # ---- exact square root reconstruction ----

@@ -7,10 +7,9 @@ holds field for field.
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InternalInvariant
 from .feasibility import (
     Check,
     ConductorProfile,
@@ -27,6 +26,7 @@ from .fields import (
     parse_field,
 )
 from .quadratic import PlaceType, QuadraticExtension, make_extension
+from .record import Record, set_field
 
 SCHEMA_VERSION = 1
 # refinement work grows with the bits, and past about 14k bits the reported
@@ -34,51 +34,53 @@ SCHEMA_VERSION = 1
 MAX_PRECISION_BITS = 4096
 
 
-@dataclass(frozen=True)
-class Options:
+def _require(cond: bool, message: str):
+    if not cond:
+        raise InputError(message)
+
+
+class Options(Record):
     """Per-decision options. precision_bits None means "not given": only a
     command-line override leaves it so, to keep each record's own value; a
     config's options always carry a number."""
 
-    allow_drop_b4: bool = False
-    oracle_check: bool = False
-    precision_bits: int | None = 32
-
-    def __post_init__(self):
-        bits = self.precision_bits
-        _require(bits is None or (type(bits) is int
-                                  and 1 <= bits <= MAX_PRECISION_BITS),
+    def __init__(self, allow_drop_b4: bool = False, oracle_check: bool = False,
+                 precision_bits: int | None = 32):
+        _require(precision_bits is None or (
+                     type(precision_bits) is int
+                     and 1 <= precision_bits <= MAX_PRECISION_BITS),
                  f"precision_bits must be an integer from 1 to {MAX_PRECISION_BITS}")
+        set_field(self, "allow_drop_b4", allow_drop_b4)
+        set_field(self, "oracle_check", oracle_check)
+        set_field(self, "precision_bits", precision_bits)
+        set_field(self, "_key", (allow_drop_b4, oracle_check, precision_bits))
 
 
-@dataclass(frozen=True)
-class InputConfig:
+class InputConfig(Record):
     """One decision problem: a field, a delta, a conductor, options."""
 
-    field_poly: tuple[int, ...]
-    delta: tuple[int, ...]
-    conductor: dict
-    order_conductor: dict | None = None
-    options: Options = field(default_factory=Options)
-    config_id: str = ""
-
-    def __post_init__(self):
-        _require(self.options.precision_bits is not None,
+    def __init__(self, field_poly: tuple[int, ...], delta: tuple[int, ...],
+                 conductor: dict, order_conductor: dict | None = None,
+                 options: Options = Options(), config_id: str = ""):
+        _require(options.precision_bits is not None,
                  "a config's precision_bits must be given")
-        _require(isinstance(self.conductor, dict), "conductor must be a mapping")
-        keys = set(self.conductor)
+        _require(isinstance(conductor, dict), "conductor must be a mapping")
+        keys = set(conductor)
         _require(keys == {"generator"} or keys == {"factors"},
                  "conductor needs exactly one of generator/factors, got "
                  + (", ".join(sorted(keys)) or "nothing"))
-        if self.order_conductor is not None:
-            okeys = set(self.order_conductor)
+        if order_conductor is not None:
+            okeys = set(order_conductor)
             _require(okeys == {"generator"} or okeys == {"factors"},
                      "order_conductor needs exactly one of generator/factors")
-
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise InputError(message)
+        set_field(self, "field_poly", field_poly)
+        set_field(self, "delta", delta)
+        set_field(self, "conductor", conductor)
+        set_field(self, "order_conductor", order_conductor)
+        set_field(self, "options", options)
+        set_field(self, "config_id", config_id)
+        set_field(self, "_key", (field_poly, delta, conductor, order_conductor,
+                                 options, config_id))
 
 
 def _int_list(value, what: str) -> tuple[int, ...]:
@@ -348,10 +350,11 @@ def parse_report(text: str) -> FeasibilityReport:
              "reports carried the check log; regenerate it")
     try:
         return _report_from(doc)
-    except (AssertionError, KeyError, TypeError, ValueError,
+    except (InternalInvariant, KeyError, TypeError, ValueError,
             ZeroDivisionError) as e:
         # a missing key, a wrong type or an unknown enum value somewhere in
-        # the document; the record constructors check shapes with assert
+        # the document; the record constructors check shapes with
+        # InternalInvariant
         raise InputError(f"malformed report: {type(e).__name__}: {e}") from None
 
 
