@@ -108,8 +108,8 @@ def format_trace(report: FeasibilityReport) -> str:
     return "\n".join(lines)
 
 
-def run_single(config: InputConfig):
-    """(exit_code, machine_report_json or None, trace_text)."""
+def _decide(config: InputConfig):
+    """(report, None), or (None, error text) on a DarmonselError."""
     try:
         K, N, order = realize_config(config)
         report = feasibility_report(
@@ -128,9 +128,16 @@ def run_single(config: InputConfig):
                     f"selectors found {len(selected)} specs, oracle found "
                     f"{len(enumerated)}")
     except DarmonselError as e:
-        return 1, None, f"error: {type(e).__name__}: {e}"
-    trace = format_trace(report)
-    return (0 if report.feasible else 2), emit_report(report), trace
+        return None, f"error: {type(e).__name__}: {e}"
+    return report, None
+
+
+def run_single(config: InputConfig):
+    """(exit_code, machine_report_json or None, trace_text)."""
+    report, error = _decide(config)
+    if report is None:
+        return 1, None, error
+    return (0 if report.feasible else 2), emit_report(report), format_trace(report)
 
 
 def _record_id(doc, position: int) -> str:
@@ -174,17 +181,16 @@ def run_batch(corpus_path: str, output_dir: str,
             config = config_from_doc(doc)
             if override is not None:
                 config = _with_options(config, override)
-            code, report_json, trace = run_single(config)
-            if code == 1:
-                row["error"] = trace
+            report, error = _decide(config)
+            if report is None:
+                row["error"] = error
                 any_error = True
             else:
-                report_doc = json.loads(report_json)
-                row.update(sign=report_doc["sign"],
-                           gartner=len(report_doc["gartner_options"]),
-                           greenberg=len(report_doc["greenberg_options"]),
-                           verdict="feasible" if code == 0 else "infeasible")
-                (out / f"{_safe_name(rid)}.json").write_text(report_json)
+                row.update(sign=report.sign,
+                           gartner=len(report.gartner_options),
+                           greenberg=len(report.greenberg_options),
+                           verdict="feasible" if report.feasible else "infeasible")
+                (out / f"{_safe_name(rid)}.json").write_text(emit_report(report))
         except Exception as e:
             # any failure is this record's ERROR row and the rest of the
             # corpus still runs; an untyped one is an engine fault, so its

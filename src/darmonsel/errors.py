@@ -27,6 +27,13 @@ class DegreeUnsupported(DarmonselError):
     """Degree outside the supported range 1..4."""
 
 
+# ---- integer layer ----
+
+class PrimalityUnproven(DarmonselError):
+    """A probable prime beyond the bound below which the Miller-Rabin bases
+    prove primality."""
+
+
 # ---- ideal arithmetic ----
 
 class IndexObstruction(DarmonselError):

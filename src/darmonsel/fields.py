@@ -206,7 +206,8 @@ def parse_field(coeffs) -> NumberField:
     if not polyarith.is_irreducible_monic_int(poly):
         raise NotIrreducible(f"{_poly_str(poly)} factors over Q")
     disc = polyarith.discriminant(poly)
-    assert disc != 0
+    if disc == 0:
+        raise InternalInvariant(f"irreducible {_poly_str(poly)} has discriminant 0")
     warned = frozenset(factorize(abs(disc)))
     F = NumberField(degree=d, defining_poly=poly, poly_disc=disc,
                     index_warning_primes=warned)
@@ -362,9 +363,7 @@ def factor_ideal(F: NumberField, *, generator=None, factors=None,
 
     gen_coeffs = _integer_coefficients(generator, "generator coefficients")
     gen = polyarith.reduce_mod_poly(gen_coeffs, F.defining_poly)
-    norm = polyarith.resultant(F.defining_poly, gen) if gen else Fraction(0)
-    assert norm.denominator == 1
-    norm = int(norm)
+    norm = polyarith.resultant(F.defining_poly, gen)
     if norm == 0:
         raise InputError("zero generator does not define an integral ideal")
     if abs(norm) == 1:
@@ -413,14 +412,15 @@ def local_expansion(F: NumberField, P: PrimeIdeal, a, extra_level: int = 3):
     norm = polyarith.resultant(F.defining_poly, a)
     if norm == 0:
         raise InputError("a zero element has no valuation")
-    bound = _p_val(int(norm), p)
+    bound = _p_val(norm, p)
     m = bound + extra_level
     G, _ = polymod.hensel_lift_pair(F.defining_poly, P.local_factor, p, m)
     modulus = p**m
     r = polymod.divmod_poly(polymod.reduce_mod(a, modulus), G, modulus)[1]
-    assert r, "a cannot vanish to precision beyond its norm valuation"
-    v = min(_p_val(c, p) for c in r if c != 0)
-    assert v * P.f <= bound
+    # r = 0 would put v_P(a) at m or more, past the norm's valuation
+    v = min((_p_val(c, p) for c in r if c), default=bound + 1)
+    if v * P.f > bound:
+        raise InternalInvariant(f"v_P(a) * f = {v * P.f} exceeds v_p(N(a)) = {bound}")
     unit = tuple(c // p**v for c in r)
     return v, polymod.reduce_mod(unit, p ** (m - v)), m - v, G
 

@@ -1,13 +1,20 @@
 """Integer utilities: primality, factorization, perfect squares.
 
-Everything here is deterministic. Miller-Rabin uses a base set that is proven
-complete below 3.3 * 10^24, far beyond desk scale.
+Everything here is deterministic. Miller-Rabin on the first 12 prime bases is
+proven complete only below psi_12 = 318665857834031151167461 (Sorenson and
+Webster, 2015), far beyond desk scale; is_prime refuses to call a number at or
+above that bound prime.
 """
 
 import functools
 import math
 
+from .errors import InternalInvariant, PrimalityUnproven
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# least odd composite that is a strong pseudoprime to every base in _MR_BASES
+PSI_12 = 318665857834031151167461
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -33,6 +40,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PSI_12:
+        raise PrimalityUnproven(f"{n} passes Miller-Rabin on the first 12 prime "
+                                f"bases, which proves primality only below {PSI_12}")
     return True
 
 
@@ -55,7 +65,8 @@ def _pollard_rho(n: int) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Full factorization of n >= 1 into {prime: exponent}."""
-    assert n >= 1
+    if n < 1:
+        raise InternalInvariant(f"factorize needs n >= 1, got {n}")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
@@ -81,10 +92,13 @@ def factorize(n: int) -> dict[int, int]:
 def factor_within_bound(n: int, bound: int) -> dict[int, int]:
     """Factor n >= 1 by trial division with primes <= bound.
 
-    A leftover cofactor <= bound**2 is provably prime and accepted; anything
-    larger raises ValueError (caller converts to its own error type).
+    A leftover cofactor <= bound**2 is provably prime and accepted; a larger
+    one that is_prime proves prime is accepted too, one that passes every
+    Miller-Rabin base at or above PSI_12 raises PrimalityUnproven, and any
+    other raises ValueError (caller converts to its own error type).
     """
-    assert n >= 1
+    if n < 1:
+        raise InternalInvariant(f"factor_within_bound needs n >= 1, got {n}")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

@@ -1,13 +1,14 @@
 """Exact univariate polynomial arithmetic over Z and Q.
 
-Little-endian coefficient tuples, same as polymod. Everything runs on ints and
-fractions.Fraction; no floating point anywhere. The real-root kernel (Sturm
-isolation, refinement, signs at a root) runs its loops on ints alone: each
+Little-endian coefficient tuples, same as polymod; no floating point anywhere.
+Resultants, and with them discriminants and norms, are Sylvester determinants
+by fraction-free Bareiss elimination on ints. The real-root kernel (Sturm
+isolation, refinement, signs at a root) runs its loops on ints: each
 polynomial is scaled to integer coefficients and evaluated at dyadic points
 n/2^k by one homogeneous Horner evaluator, and refinement takes quadratic
 interval refinement steps on the bisection grid, so it returns the very cell
-bisection would. Degree is capped at 4 by the callers, which keeps the quartic
-factor search and the Sylvester determinants trivial.
+bisection would. fractions.Fraction is left in Sturm's polynomial division and
+at the interfaces. Degree is capped at 4 by the callers.
 """
 
 from fractions import Fraction
@@ -93,52 +94,45 @@ def reduce_mod_poly(a, f):
 
 # ---- resultants ----
 
-def resultant(f, g):
-    """res(f, g) by exact Gaussian elimination on the Sylvester matrix."""
+def resultant(f, g) -> int:
+    """res(f, g) of integer f and g (0 if either is zero): the Sylvester
+    determinant by fraction-free Bareiss elimination, every division checked."""
     n, m = deg(f), deg(g)
-    assert n >= 0 and m >= 0
-    if n == 0:
-        return Fraction(f[0]) ** m
-    if m == 0:
-        return Fraction(g[0]) ** n
+    if n < 0 or m < 0:
+        return 0
+    if n == 0 or m == 0:
+        return f[0] ** m if n == 0 else g[0] ** n
     size = n + m
-    rows = []
-    rf = list(reversed(f))
-    rg = list(reversed(g))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in rf] + [Fraction(0)] * (m - 1 - i))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in rg] + [Fraction(0)] * (n - 1 - i))
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] == 0:
-                continue
-            factor = rows[r][col] / inv
-            for c in range(col, size):
-                rows[r][c] -= factor * rows[col][c]
-    return det
+    rows = ([[0] * i + list(f[::-1]) + [0] * (m - 1 - i) for i in range(m)]
+            + [[0] * i + list(g[::-1]) + [0] * (n - 1 - i) for i in range(n)])
+    prev = 1
+    for k in range(size - 1):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            # a swap with one row negated keeps the determinant
+            rows[k], rows[swap] = rows[swap], [-c for c in rows[k]]
+        pivot_row = rows[k]
+        for row in rows[k + 1:]:
+            for j in range(k + 1, size):
+                q, r = divmod(row[j] * pivot_row[k] - row[k] * pivot_row[j], prev)
+                if r:
+                    raise InternalInvariant("inexact Bareiss division")
+                row[j] = q
+        prev = pivot_row[k]
+    return rows[-1][-1]
 
 
 def discriminant(f) -> int:
-    """Discriminant of f; integer for integer f. deg(f) >= 1."""
+    """Discriminant of integer f, deg(f) >= 1: (-1)^(d(d-1)/2) res(f, f')/lc(f)."""
     n = deg(f)
-    assert n >= 1
-    if n == 1:
-        return 1
-    res = resultant(f, derivative(f))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    d = sign * res / Fraction(f[-1])
-    assert d.denominator == 1
-    return int(d)
+    if n < 1:
+        raise InternalInvariant(f"discriminant needs degree >= 1, got {n}")
+    d, r = divmod(resultant(f, derivative(f)), f[-1])
+    if r:
+        raise InternalInvariant("res(f, f') not divisible by lc(f)")
+    return -d if (n * (n - 1) // 2) % 2 else d
 
 
 # ---- real roots, on integer dyadics ----

@@ -2,11 +2,13 @@
 lifting needed by the ideal layer.
 
 Coefficient convention: little-endian tuples, entries reduced into [0, m).
-Degrees never exceed 4 here, so no asymptotic cleverness is attempted; the
-point is exactness and predictable behavior.
+Degrees never exceed 4 here, so the point is exactness, not asymptotics. The
+quadratic character of F_q is read off the norm, polyarith's resultant.
 """
 
 import random
+
+from .errors import InternalInvariant
 
 Poly = tuple[int, ...]
 
@@ -260,14 +262,13 @@ def hensel_lift_pair(f: Poly, g: Poly, p: int, prec: int) -> tuple[Poly, Poly]:
 
 
 def fq_quadratic_character(a: Poly, g: Poly, p: int) -> int:
-    """Character of a nonzero residue a in F_q = F_p[x]/(g), odd p.
-
-    Returns +1 (square) or -1 (nonsquare).
-    """
-    assert p % 2 == 1
-    q = p ** deg(g)
-    chi = powmod(a, (q - 1) // 2, g, p)
-    if chi == (1,):
-        return 1
-    assert chi == ((p - 1) % p,), "character of a unit must be +-1"
-    return -1
+    """+1 (square) or -1 of a nonzero residue of F_q = F_p[x]/(g), given by any
+    integer lift a; odd p, g monic and irreducible mod p. Euler's criterion on
+    the norm: a^((q-1)/2) = N(a)^((p-1)/2), and N(a) = res(g, a) mod p."""
+    from .polyarith import resultant  # polyarith imports this module
+    if p % 2 == 0:
+        raise InternalInvariant(f"quadratic character needs odd p, got {p}")
+    chi = pow(resultant(g, a), (p - 1) // 2, p)
+    if chi not in (1, p - 1):
+        raise InternalInvariant(f"{a} is zero mod ({g}, {p}), or p is not prime")
+    return 1 if chi == 1 else -1

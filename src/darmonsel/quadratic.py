@@ -265,15 +265,12 @@ def classify_finite_prime(K: QuadraticExtension, P: PrimeIdeal) -> PlaceType:
     delta = K.delta
     assert delta, "classification needs a certified extension"
     if P.p % 2 == 1:
-        residue = P.residue_of(delta)
-        if residue:
-            chi = polymod.fq_quadratic_character(residue, P.local_factor, P.p)
-            return PlaceType.SPLIT if chi == 1 else PlaceType.INERT
-        v, unit, _, _ = local_expansion(F, P, delta)
-        if v % 2 == 1:
-            return PlaceType.RAMIFIED
-        chi = polymod.fq_quadratic_character(
-            polymod.reduce_mod(unit, P.p), P.local_factor, P.p)
+        unit = P.residue_of(delta)
+        if not unit:
+            v, unit, _, _ = local_expansion(F, P, delta)
+            if v % 2 == 1:
+                return PlaceType.RAMIFIED
+        chi = polymod.fq_quadratic_character(unit, P.local_factor, P.p)
         return PlaceType.SPLIT if chi == 1 else PlaceType.INERT
     # p = 2
     v, unit, level, G = local_expansion(F, P, delta, extra_level=4)

@@ -247,6 +247,33 @@ def test_malformed_input_under_optimize(run_optimized):
         "touching-cells 2 True"]
 
 
+PSI_12 = 318665857834031151167461
+# a config prime psi_12, and a norm whose cofactor is psi_12
+PSI_12_CONDUCTORS = {
+    "psi12-factor": {"factors": [_P11 | {"p": 2}, _P11 | {"p": PSI_12}]},
+    "psi12-norm": {"generator": [2 * PSI_12]}}
+
+
+def test_unproven_prime_in_config_exits_1(capsys, tmp_path, run_optimized):
+    # psi_12 passes Miller-Rabin on the bases 2..37 but is composite
+    paths = [write_json(tmp_path / f"{rid}.json",
+                        {**GOLDEN_22, "id": rid, "conductor": conductor})
+             for rid, conductor in PSI_12_CONDUCTORS.items()]
+    for path in paths:
+        assert main(["--input", path]) == 1
+        captured = capsys.readouterr()
+        assert "PrimalityUnproven" in captured.err and "Traceback" not in captured.err
+    out = run_optimized(f"""
+        import sys
+        from darmonsel.cli import main
+        assert False, "asserts must be stripped"
+        print([main(["--input", path, "--no-trace"]) for path in {paths!r}])
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[1,", "1]"]
+    assert out.stderr.count("PrimalityUnproven") == 2 and "Traceback" not in out.stderr
+
+
 def test_touching_isolation_cells_are_separated(capsys, tmp_path):
     path = write_json(tmp_path / "cubic.json", TOUCHING_CELLS)
     assert main(["--input", path]) == 2
@@ -329,14 +356,14 @@ def test_run_batch_turns_an_untyped_failure_into_its_error_row(monkeypatch, tmp_
     # an exception outside the DarmonselError tree ends only its own record
     import darmonsel.cli as cli
 
-    original = cli.run_single
+    original = cli.realize_config
 
     def flaky(config):
         if config.config_id == "b-boom":
             raise RuntimeError("boom")
         return original(config)
 
-    monkeypatch.setattr(cli, "run_single", flaky)
+    monkeypatch.setattr(cli, "realize_config", flaky)
     corpus = [GOLDEN_22 | {"id": "a-ok"}, GOLDEN_6 | {"id": "b-boom"},
               GOLDEN_ATR | {"id": "c-ok"}]
     path = write_json(tmp_path / "corpus.json", corpus)

@@ -15,6 +15,7 @@ from darmonsel.errors import (
     NotIrreducible,
     NotMonic,
     NotTotallyReal,
+    PrimalityUnproven,
 )
 from darmonsel.fields import (
     IdealFactorization,
@@ -146,6 +147,9 @@ def test_factor_ideal_units_and_errors(F_rat, F_sqrt2):
     with pytest.raises(NormTooLarge):
         # norm is a 40+ digit semiprime with no small factors
         factor_ideal(F_rat, generator=[(10**21 + 117) * (10**22 + 7)])
+    with pytest.raises(PrimalityUnproven):
+        # the cofactor psi_12 passes every Miller-Rabin base, beyond their proof
+        factor_ideal(F_rat, generator=[2 * 318665857834031151167461])
 
 
 def exponents(N):

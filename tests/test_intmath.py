@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from darmonsel.errors import PrimalityUnproven
 from darmonsel.intmath import (
+    PSI_12,
     factor_within_bound,
     factorize,
     is_perfect_square,
@@ -21,6 +23,22 @@ def test_is_prime_on_primes(n):
 @pytest.mark.parametrize("n", KNOWN_COMPOSITES)
 def test_is_prime_on_composites(n):
     assert not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_the_proven_bound():
+    # psi_12 and psi_13 are strong pseudoprimes to the 12 bases 2..37
+    assert PSI_12 == 399165290221 * 798330580441
+    assert is_prime(399165290221) and is_prime(798330580441)
+    psi_13 = 3317044064679887385961981
+    assert psi_13 == 1287836182261 * 2575672364521
+    for n in (PSI_12, psi_13):
+        with pytest.raises(PrimalityUnproven):
+            is_prime(n)
+    # a witnessed composite above the bound is still refuted and factored
+    q = 10**18 + 9
+    assert q * 1000003 > PSI_12
+    assert not is_prime(q * 1000003)
+    assert factorize(q * 1000003) == {1000003: 1, q: 1}
 
 
 def test_factorize_golden():

@@ -65,6 +65,42 @@ def test_resultant_with_linear_is_evaluation(fc, a):
     assert abs(resultant(f, (-a, 1))) == abs(eval_at(f, Fraction(a)))
 
 
+NONZERO = st.integers(-9, 9).filter(bool)
+POLY_0_5 = st.builds(lambda low, lead: tuple(low) + (lead,),
+                     st.lists(st.integers(-9, 9), max_size=5), NONZERO)
+
+
+def _sympy_poly(c):
+    x = sympy.Symbol("x")
+    return sympy.Poly(list(reversed(c)), x) if c else sympy.Poly(0, x)
+
+
+def _sympy_resultant(a, b):
+    """The Sylvester determinant of (a, b) by sympy. sympy.resultant differs
+    from it by (-1)^(deg a * deg b) when deg a < deg b, so the arguments go in
+    by descending degree and the swap's sign is applied here."""
+    if deg(a) >= deg(b):
+        return sympy.resultant(_sympy_poly(a), _sympy_poly(b))
+    sign = -1 if deg(a) * deg(b) % 2 else 1
+    return sign * sympy.resultant(_sympy_poly(b), _sympy_poly(a))
+
+
+@given(POLY_0_5, POLY_0_5, st.one_of(st.just((1,)), POLY_0_5))
+def test_resultant_matches_sympy(f, g, common):
+    # non-monic inputs of degree 0-5, times an optional common factor
+    f, g = mul(f, common), mul(g, common)
+    for a, b in ((f, g), (g, f), (f, ())):
+        res = resultant(a, b)
+        assert type(res) is int
+        assert res == _sympy_resultant(a, b), (a, b)
+
+
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=4))
+def test_discriminant_matches_sympy(low):
+    f = tuple(low) + (1,)
+    assert discriminant(f) == sympy.discriminant(_sympy_poly(f))
+
+
 def test_isolate_real_roots_counts():
     for poly, count in [
         ((1, 0, 1), 0),
@@ -294,8 +330,10 @@ def test_kernel_invariants_survive_optimize(run_optimized):
         from fractions import Fraction
         from darmonsel.errors import InternalInvariant
         from darmonsel.fields import RealPlace
-        from darmonsel.polyarith import (isolate_real_roots, refine_sign_change,
-                                         sign_at_root)
+        from darmonsel.intmath import factor_within_bound, factorize
+        from darmonsel.polyarith import (discriminant, isolate_real_roots,
+                                         refine_sign_change, sign_at_root)
+        from darmonsel.polymod import fq_quadratic_character
         assert False, "asserts must be stripped"
         cases = [
             # x^3 - 2x: the first midpoint of (-4, 4] is the root 0
@@ -311,6 +349,13 @@ def test_kernel_invariants_survive_optimize(run_optimized):
             lambda: sign_at_root((-1, 1), (-1, 1), Fraction(1), Fraction(1)),
             lambda: RealPlace(1, Fraction(1), Fraction(0), Fraction(1)),
             lambda: RealPlace(1, Fraction(0), Fraction(1), Fraction(1, 2)),
+            lambda: discriminant((5,)),
+            # zero residues of F_7, as a zero polynomial and as 7 = 0 mod 7
+            lambda: fq_quadratic_character((), (0, 1), 7),
+            lambda: fq_quadratic_character((7,), (0, 1), 7),
+            lambda: fq_quadratic_character((1,), (0, 1), 2),
+            lambda: factorize(0),
+            lambda: factor_within_bound(0, 10),
         ]
         for case in cases:
             try:
@@ -320,4 +365,4 @@ def test_kernel_invariants_survive_optimize(run_optimized):
                 print("InternalInvariant")
     """)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["InternalInvariant"] * 8
+    assert out.stdout.split() == ["InternalInvariant"] * 14

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from darmonsel import polymod
@@ -14,6 +17,7 @@ from darmonsel.polymod import (
     hensel_lift_pair,
     is_irreducible_fp,
     mul,
+    powmod,
     reduce_mod,
     trim,
 )
@@ -149,3 +153,34 @@ def test_quadratic_character_fp2():
                 continue
             expect = 1 if u in squares else -1
             assert fq_quadratic_character(u, g, p) == expect
+
+
+def euler_character(a, g, p):
+    """Independent reference: Euler's criterion a^((q-1)/2) computed in F_q."""
+    q = p ** deg(g)
+    chi = powmod(a, (q - 1) // 2, g, p)
+    if chi == (1,):
+        return 1
+    assert chi == (p - 1,), "character of a unit must be +-1"
+    return -1
+
+
+def test_quadratic_character_matches_euler_over_whole_fields():
+    # every nonzero a of F_q, two seeded irreducible g per (p, deg g), odd
+    # p <= 31, q < 2000
+    rng = random.Random(19)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for k in range(1, 5):
+            if p**k >= 2000:
+                continue
+            moduli = set()
+            while len(moduli) < 2:
+                g = tuple(rng.randrange(p) for _ in range(k)) + (1,)
+                if is_irreducible_fp(g, p):
+                    moduli.add(g)
+            for g in moduli:
+                for a in itertools.product(range(p), repeat=k):
+                    a = trim(a)
+                    if a:
+                        assert fq_quadratic_character(a, g, p) == \
+                            euler_character(a, g, p), (a, g, p)
