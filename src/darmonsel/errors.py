@@ -43,7 +43,8 @@ class IndexObstruction(DarmonselError):
 
 
 class NormTooLarge(DarmonselError):
-    """Generator norm does not factor by trial division within the bound."""
+    """A norm or the polynomial discriminant does not factor within the bound
+    (trial division for norms, a Pollard rho step budget for discriminants)."""
 
 
 class LocalDataInsufficient(DarmonselError):

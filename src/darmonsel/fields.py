@@ -203,11 +203,11 @@ def parse_field(coeffs) -> NumberField:
         raise NotMonic(f"leading coefficient {poly[-1]} != 1")
     if d > 4:
         raise DegreeUnsupported(f"degree {d} > 4: exact kernels are capped at quartics")
-    if not polyarith.is_irreducible_monic_int(poly):
-        raise NotIrreducible(f"{_poly_str(poly)} factors over Q")
     disc = polyarith.discriminant(poly)
     if disc == 0:
-        raise InternalInvariant(f"irreducible {_poly_str(poly)} has discriminant 0")
+        raise NotIrreducible(f"{_poly_str(poly)} has a repeated factor")
+    if not polyarith.is_irreducible_monic_int(poly, disc):
+        raise NotIrreducible(f"{_poly_str(poly)} factors over Q")
     warned = frozenset(factorize(abs(disc)))
     F = NumberField(degree=d, defining_poly=poly, poly_disc=disc,
                     index_warning_primes=warned)
@@ -252,7 +252,8 @@ def primes_above(F: NumberField, p: int):
     primes = tuple(sorted(
         (PrimeIdeal(p=p, local_factor=g, e=1, f=polymod.deg(g)) for g in fp_factors),
         key=lambda pr: pr.sort_key))
-    assert sum(pr.e * pr.f for pr in primes) == F.degree
+    if sum(pr.e * pr.f for pr in primes) != F.degree:
+        raise InternalInvariant(f"the primes above {p} miss sum(e*f) = degree")
     return primes
 
 

@@ -1,4 +1,4 @@
-"""Integer utilities: primality, factorization, perfect squares.
+"""Integer utilities: primality, factorization, prime sieves.
 
 Everything here is deterministic. Miller-Rabin on the first 12 prime bases is
 proven complete only below psi_12 = 318665857834031151167461 (Sorenson and
@@ -9,7 +9,7 @@ above that bound prime.
 import functools
 import math
 
-from .errors import InternalInvariant, PrimalityUnproven
+from .errors import InternalInvariant, NormTooLarge, PrimalityUnproven
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -17,6 +17,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PSI_12 = 318665857834031151167461
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# Pollard rho iterations per call, over all its polynomials: a prime factor p
+# takes about sqrt(p), so this finds factors to about 2^32 in bounded time
+RHO_STEPS = 1 << 17
 
 
 def is_prime(n: int) -> bool:
@@ -50,21 +54,25 @@ def _pollard_rho(n: int) -> int:
     # n odd composite, not a prime power of a small prime
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 50):
         x = y = 2
         d = 1
-        while d == 1:
+        while d == 1 and steps < RHO_STEPS:
+            steps += 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
-        if d != n:
+        if 1 < d < n:
             return d
-    raise ArithmeticError(f"rho failed on {n}")
+    raise NormTooLarge(f"{n} has no factor found within {RHO_STEPS} Pollard "
+                       "rho steps")
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Full factorization of n >= 1 into {prime: exponent}."""
+    """Full factorization of n >= 1 into {prime: exponent}; NormTooLarge if
+    Pollard rho splits no composite part within RHO_STEPS."""
     if n < 1:
         raise InternalInvariant(f"factorize needs n >= 1, got {n}")
     out: dict[int, int] = {}
@@ -121,16 +129,9 @@ def factor_within_bound(n: int, bound: int) -> dict[int, int]:
     return out
 
 
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 @functools.lru_cache(maxsize=8)
 def primes_below(limit: int) -> list[int]:
-    """Eratosthenes, for scan loops. Cached; callers must not mutate."""
+    """Eratosthenes. Cached; callers must not mutate."""
     if limit <= 2:
         return []
     sieve = bytearray([1]) * limit

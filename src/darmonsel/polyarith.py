@@ -3,19 +3,19 @@
 Little-endian coefficient tuples, same as polymod; no floating point anywhere.
 Resultants, and with them discriminants and norms, are Sylvester determinants
 by fraction-free Bareiss elimination on ints. The real-root kernel (Sturm
-isolation, refinement, signs at a root) runs its loops on ints: each
-polynomial is scaled to integer coefficients and evaluated at dyadic points
-n/2^k by one homogeneous Horner evaluator, and refinement takes quadratic
-interval refinement steps on the bisection grid, so it returns the very cell
-bisection would. fractions.Fraction is left in Sturm's polynomial division and
-at the interfaces. Degree is capped at 4 by the callers.
+chains of pseudo-remainders, isolation, refinement, signs at a root) runs on
+ints: each polynomial is evaluated at dyadic points n/2^k by one homogeneous
+Horner evaluator, and refinement takes quadratic interval refinement steps on
+the bisection grid, so it returns the very cell bisection would. Fractions
+appear only at the interfaces. Irreducibility over Q is Zassenhaus' test on
+polymod's factoring and Hensel lifting. Degree is capped at 4 by the callers.
 """
 
 from fractions import Fraction
 
 from .errors import InternalInvariant, PrecisionExhausted
-from .intmath import factorize, is_perfect_square
-from .polymod import deg, trim
+from .intmath import primes_below
+from .polymod import deg, factor_squarefree_monic_fp, hensel_lift_pair, trim
 import math
 
 # narrowest interval sign_at_root and the square-root reconstruction try
@@ -58,34 +58,20 @@ def eval_at(c, x):
     return acc
 
 
-def divmod_exact(a, b):
-    """Division with remainder over Q."""
-    assert b, "division by zero polynomial"
-    a = [Fraction(x) for x in a]
-    lead = Fraction(b[-1])
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coef = a[-1] / lead
-        q[shift] = coef
-        for i, y in enumerate(b):
-            a[shift + i] -= coef * y
-        a.pop()
-    return trim(q), trim(a)
-
-
 def reduce_mod_poly(a, f):
-    """a mod f, for monic integer f; keeps integer coefficients integer."""
-    a = list(a)
+    """|lc(f)|^(deg a - deg f + 1) * a mod f over Z, for integer a and nonzero
+    f, by pseudo-division with every division checked: a mod f itself for
+    monic f, and a positive multiple of it otherwise."""
+    scale = abs(f[-1]) ** max(len(a) - len(f) + 1, 0)
+    a = [c * scale for c in a]
     while len(a) >= len(f):
         if a[-1] == 0:
             a.pop()
             continue
+        coef, r = divmod(a[-1], f[-1])
+        if r:
+            raise InternalInvariant("inexact pseudo-division")
         shift = len(a) - len(f)
-        coef = a[-1]
         for i, y in enumerate(f):
             a[shift + i] -= coef * y
         a.pop()
@@ -160,25 +146,14 @@ def _nonzero_value(f, n: int, k: int, where: str) -> int:
     return value
 
 
-def _integral(f):
-    """f times the positive lcm of its denominators: integer coefficients and
-    the sign of f at every point."""
-    scale = math.lcm(*(c.denominator for c in f))
-    return tuple(int(c * scale) for c in f)
-
-
 def sturm_chain(f):
-    """Sturm chain of f, each member scaled by a positive factor to integer
-    coefficients, which leaves every count of sign variations unchanged."""
-    chain = [_integral(f)]
-    d = derivative(chain[0])
-    if d:
-        chain.append(d)
-        while True:
-            _, r = divmod_exact(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append(_integral(neg(r)))
+    """Sturm chain of integer f, deg(f) >= 1: after f', primitive parts of
+    negated pseudo-remainders, positive multiples of the negated remainders
+    over Q, which leaves every count of sign variations unchanged."""
+    chain = [tuple(f), derivative(f)]
+    while r := reduce_mod_poly(chain[-2], chain[-1]):
+        content = math.gcd(*r)
+        chain.append(tuple(-c // content for c in r))
     return chain
 
 
@@ -199,9 +174,8 @@ def sturm_count_halfopen(chain, a: int, b: int, k: int) -> int:
 
 def cauchy_bound(f) -> int:
     """Integer M with all real roots of f inside (-M, M)."""
-    lead = abs(f[-1])
-    top = max(abs(c) for c in f[:-1]) if len(f) > 1 else 0
-    return 1 + math.ceil(Fraction(top, lead)) + 1
+    top = max((abs(c) for c in f[:-1]), default=0)
+    return 2 - (-top // abs(f[-1]))  # 2 + ceil(top / |lc(f)|)
 
 
 def isolate_real_roots(f):
@@ -217,7 +191,6 @@ def isolate_real_roots(f):
         r = Fraction(-f[0], f[1])
         return [(r, r)]
     chain = sturm_chain(f)
-    f = chain[0]
     bound = cauchy_bound(f)
     done = []
     # a cell (lo, hi, k) is the interval [lo/2^k, hi/2^k] holding count roots
@@ -251,12 +224,13 @@ def _halvings(span: Fraction, width: Fraction) -> int:
 
 
 def _on_unit_interval(f, lo: Fraction, hi: Fraction):
-    """Integer h(t), a positive multiple of f(lo + t*(hi - lo))."""
+    """Integer h(t), a positive multiple of f(lo + t*(hi - lo)), for
+    integer f."""
     q = math.lcm(lo.denominator, hi.denominator)
     start = lo.numerator * (q // lo.denominator)
     span = hi.numerator * (q // hi.denominator) - start
     h = []
-    for i, c in enumerate(reversed(_integral(f))):
+    for i, c in enumerate(reversed(f)):
         # Horner step h <- h * (start + span*t) + c * q^i
         nxt = [x * start for x in h] + [0]
         for j, x in enumerate(h):
@@ -390,61 +364,43 @@ def interval_eval(c, lo: Fraction, hi: Fraction):
 
 # ---- irreducibility over Q, monic integer input, degree <= 4 ----
 
-def _divisors(n: int):
-    fac = factorize(n)
-    out = [1]
-    for p, e in fac.items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def integer_roots(f):
-    """All integer roots of a monic integer polynomial."""
-    if not f:
-        return []
-    if f[0] == 0:
-        inner = integer_roots(trim(f[1:]))
-        return sorted(set([0] + inner))
-    roots = []
-    for d in _divisors(abs(f[0])):
-        for r in (d, -d):
-            if eval_at(f, r) == 0:
-                roots.append(r)
-    return sorted(set(roots))
-
-
-def is_irreducible_monic_int(f) -> bool:
-    """Exact irreducibility over Q for monic integer f, 1 <= deg(f) <= 4.
-
-    Gauss: a monic integer polynomial factors over Q iff it factors into monic
-    integer polynomials, so a rational-root test plus (for quartics) a search
-    for conjugate quadratic factors with integer coefficients is complete.
-    """
+def is_irreducible_monic_int(f, disc: int) -> bool:
+    """Irreducibility over Q of monic integer f, 1 <= deg(f) <= 4, by
+    Zassenhaus (Cohen, GTM 138, Alg. 3.5.7); disc is discriminant(f). A
+    monic integer factor g with 2*deg(g) <= deg(f) is, mod the least prime p
+    not dividing disc, a product of f's distinct factors mod p, and the
+    symmetric residue of its lift mod p^k once p^k exceeds twice the
+    Landau-Mignotte bound binomial(m, m//2) * ||f||_2, m = deg(f)//2, on g's
+    coefficients (Cohen, Thm. 3.5.1)."""
     d = deg(f)
-    assert 1 <= d <= 4
+    if not 1 <= d <= 4 or f[-1] != 1:
+        raise InternalInvariant(f"irreducibility needs a monic quartic or less: {f}")
     if d == 1:
         return True
-    if f[0] == 0:
-        return False
-    if integer_roots(f):
-        return False
-    if d in (2, 3):
+    if disc == 0:
+        return False  # a repeated factor
+    # the primes below L >= 41 have a product above 2^L (Rosser and Schoenfeld)
+    limit = 1 << max(10, (disc.bit_length() + 64).bit_length())
+    p = next((q for q in primes_below(limit) if disc % q), None)
+    if p is None:
+        raise InternalInvariant(f"every prime below {limit} divides {disc}")
+    factors = factor_squarefree_monic_fp(f, p)
+    if len(factors) == 1:
         return True
-    # quartic with no linear factor: look for (x^2+ax+b)(x^2+cx+e)
-    c3, c2, c1, c0 = f[3], f[2], f[1], f[0]
-    for b in _divisors(abs(c0)):
-        for bb in (b, -b):
-            e, rem = divmod(c0, bb)
-            assert rem == 0
-            disc = c3 * c3 - 4 * (c2 - bb - e)
-            if disc < 0 or not is_perfect_square(disc):
-                continue
-            s = math.isqrt(disc)
-            for a2 in (c3 + s, c3 - s):
-                if a2 % 2:
-                    continue
-                a = a2 // 2
-                c = c3 - a
-                if a * e + bb * c == c1:
-                    return False
+    k, pk = 1, p
+    while pk * pk <= 4 * math.comb(d // 2, d // 4) ** 2 * sum(c * c for c in f):
+        k, pk = k + 1, pk * p
+    lifts = {}  # of single factors, as needed: their products lift products
+    for mask in range(1, 1 << len(factors)):
+        chosen = [i for i in range(len(factors)) if mask >> i & 1]
+        size = 2 * sum(deg(factors[i]) for i in chosen)
+        # at size == d, either g or f/g holds factors[0]
+        if size < d or size == d and mask & 1:
+            g = (1,)
+            for i in chosen:
+                if i not in lifts:
+                    lifts[i] = hensel_lift_pair(f, factors[i], p, k)[0]
+                g = tuple(c % pk for c in mul(g, lifts[i]))
+            if not reduce_mod_poly(f, [c - pk if 2 * c > pk else c for c in g]):
+                return False
     return True

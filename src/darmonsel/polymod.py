@@ -60,11 +60,12 @@ def scal(k: int, a: Poly, m: int) -> Poly:
 
 def divmod_poly(a: Poly, b: Poly, m: int) -> tuple[Poly, Poly]:
     """Division with remainder; lc(b) must be invertible mod m."""
-    assert b, "division by zero polynomial"
+    if not b:
+        raise InternalInvariant("division by the zero polynomial")
     inv = pow(b[-1], -1, m)
     a = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and trim(a):
+    while len(a) >= len(b):
         if a[-1] == 0:
             a.pop()
             continue
@@ -171,22 +172,18 @@ def _roots_of_split_product(l: Poly, p: int, rng: random.Random) -> list[int]:
         g = gcd_fp(sub(probe, (1,), p), l, p)
         if 0 < deg(g) < deg(l):
             q, r = divmod_poly(l, g, p)
-            assert not r
+            if r:
+                raise InternalInvariant("a gcd factor does not divide its product")
             return _roots_of_split_product(g, p, rng) + _roots_of_split_product(q, p, rng)
+
+
+SPLIT_TRIES = 64  # each try splits a true pair with probability about 1/2
 
 
 def _split_quadratic_pair(h: Poly, p: int, rng: random.Random) -> list[Poly]:
     """h monic quartic known to be a product of two distinct monic irreducible
-    quadratics over F_p; return the pair."""
-    if p <= 7:
-        for b in range(p):
-            for c in range(p):
-                q = (c, b, 1)
-                quo, r = divmod_poly(h, q, p)
-                if not r and is_irreducible_fp(q, p):
-                    return [q, quo]
-        raise AssertionError("no quadratic split found")
-    while True:
+    quadratics over F_p; return the pair, by Cantor-Zassenhaus."""
+    for _ in range(SPLIT_TRIES):
         r_poly = tuple(rng.randrange(p) for _ in range(4))
         if deg(trim(r_poly)) < 1:
             continue
@@ -194,20 +191,23 @@ def _split_quadratic_pair(h: Poly, p: int, rng: random.Random) -> list[Poly]:
         g = gcd_fp(sub(probe, (1,), p), h, p)
         if deg(g) == 2:
             quo, rem = divmod_poly(h, g, p)
-            assert not rem
+            if rem:
+                raise InternalInvariant("a gcd factor does not divide its product")
             return [monic_fp(g, p), monic_fp(quo, p)]
+    raise InternalInvariant(f"{h} did not split mod {p} in {SPLIT_TRIES} tries")
 
 
 def factor_squarefree_monic_fp(f: Poly, p: int) -> list[Poly]:
     """Distinct monic irreducible factors of a monic squarefree f over F_p.
 
-    deg(f) <= 4. Raises AssertionError if f is not squarefree (callers are
-    required to screen index primes before getting here).
+    deg(f) <= 4. Raises InternalInvariant if f is not monic or not squarefree
+    mod p: callers take p prime to disc(f).
     """
     f = reduce_mod(f, p)
-    assert f and f[-1] == 1, "factor input must stay monic mod p"
-    assert deg(gcd_fp(f, derivative_mod(f, p), p)) == 0, \
-        "repeated factor: p divides the discriminant"
+    if not f or f[-1] != 1:
+        raise InternalInvariant(f"factor input {f} is not monic mod {p}")
+    if deg(gcd_fp(f, derivative_mod(f, p), p)) != 0:
+        raise InternalInvariant(f"{f} has a repeated factor mod {p}")
     rng = random.Random(hash((f, p)) & 0xFFFFFFFF)
     x: Poly = (0, 1)
     xp = powmod(x, p, f, p)
@@ -216,13 +216,15 @@ def factor_squarefree_monic_fp(f: Poly, p: int) -> list[Poly]:
     for root in sorted(_roots_of_split_product(lin, p, rng)):
         factors.append(((-root) % p, 1))
     h, r = divmod_poly(f, lin, p) if deg(lin) > 0 else (f, ())
-    assert not r
+    if r:
+        raise InternalInvariant("the linear part does not divide f mod p")
     if deg(h) <= 0:
         return factors
     if deg(h) in (2, 3):
         factors.append(h)
         return factors
-    assert deg(h) == 4
+    if deg(h) != 4:
+        raise InternalInvariant(f"factor input {f} has degree above 4")
     xp2 = powmod(xp, p, h, p)  # x^(p^2) mod h
     if sub(xp2, x, p):
         factors.append(h)
@@ -240,12 +242,14 @@ def hensel_lift_pair(f: Poly, g: Poly, p: int, prec: int) -> tuple[Poly, Poly]:
     fp = reduce_mod(f, p)
     g = reduce_mod(g, p)
     h, r = divmod_poly(fp, g, p)
-    assert not r, "g does not divide f mod p"
+    if r:
+        raise InternalInvariant(f"{g} does not divide {f} mod {p}")
     if deg(h) == 0:
         # g is the whole of f mod p; the lift is f itself
         return reduce_mod(f, p**prec), (1,)
     s, t = bezout_fp(g, h, p)
-    assert add(mul(s, g, p), mul(t, h, p), p) == (1,), "factor pair not coprime mod p"
+    if add(mul(s, g, p), mul(t, h, p), p) != (1,):
+        raise InternalInvariant(f"factor pair {g}, {h} not coprime mod {p}")
     G, H = g, h
     pk = p
     while pk < p**prec:
@@ -254,7 +258,8 @@ def hensel_lift_pair(f: Poly, g: Poly, p: int, prec: int) -> tuple[Poly, Poly]:
         delta = trim(c // pk for c in diff)  # exact by the induction invariant
         u_q, u = divmod_poly(mul(delta, t, p), g, p)
         v = add(mul(delta, s, p), mul(u_q, h, p), p)
-        assert deg(v) < deg(h) or deg(h) == 0
+        if deg(v) >= deg(h):
+            raise InternalInvariant("Hensel correction not reduced mod h")
         G = add(G, scal(pk, u, m), m)
         H = add(H, scal(pk, v, m), m)
         pk = m

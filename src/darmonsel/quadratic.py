@@ -244,10 +244,11 @@ def _sqrt_candidates(F, delta, roots, value_ivs, denom, d):
             return None
         if coords is None:
             continue
-        gamma = tuple(Fraction(c, denom) for c in coords)
-        square = polyarith.reduce_mod_poly(polyarith.mul(gamma, gamma), F.defining_poly)
-        if list(square) == [Fraction(c) for c in delta]:
-            return gamma, True
+        # (coords / denom)^2 = delta, tested on integers: the defining
+        # polynomial is monic, so reduction by it stays exact
+        square = polyarith.reduce_mod_poly(polyarith.mul(coords, coords), F.defining_poly)
+        if square == polymod.trim(denom * denom * c for c in delta):
+            return tuple(Fraction(c, denom) for c in coords), True
     return (), False
 
 

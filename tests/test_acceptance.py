@@ -168,17 +168,21 @@ def test_criterion_2_oracle_equivalence():
     failures = []
     for K, N in scan_inputs():
         profile = build_profile(K, N)
-        selected = tuple(sorted(
-            tuple(select_gartner(profile)) + tuple(select_greenberg(profile)),
-            key=lambda s: s.sort_key))
-        if selected != enumerate_admissible(profile):
-            failures.append(f"mismatch at delta={K.delta} N={N}")
+        # the strict gartner selector, then the widened one that drops B4
+        for allow in (False, True):
+            selected = tuple(sorted(
+                tuple(select_gartner(profile, allow_drop_b4=allow))
+                + tuple(select_greenberg(profile)),
+                key=lambda s: s.sort_key))
+            if selected != enumerate_admissible(profile, allow_drop_b4=allow):
+                failures.append(f"mismatch at delta={K.delta} N={N} "
+                                f"allow_drop_b4={allow}")
         checked += 1
     elapsed = time.perf_counter() - start
     if elapsed >= 60.0:
         failures.append(f"scan took {elapsed:.1f}s, budget 60s")
     _verdict(2, "oracle-equivalence", failures,
-             f"{checked} inputs, {elapsed:.1f}s")
+             f"{checked} inputs, strict and widened, {elapsed:.1f}s")
 
 
 def test_criterion_3_theorem_1i(population):

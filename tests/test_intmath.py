@@ -6,7 +6,6 @@ from darmonsel.intmath import (
     PSI_12,
     factor_within_bound,
     factorize,
-    is_perfect_square,
     is_prime,
     primes_below,
 )
@@ -67,12 +66,6 @@ def test_factor_within_bound_rejects_opaque_cofactor():
     n = (10**9 + 7) * (10**9 + 9)
     with pytest.raises(ValueError):
         factor_within_bound(n, 10**6)
-
-
-@given(st.integers(min_value=0, max_value=10**9))
-def test_perfect_squares(n):
-    assert is_perfect_square(n * n)
-    assert not is_perfect_square(n * n + 1) or n == 0
 
 
 def test_primes_below():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,17 +12,17 @@ from darmonsel.polyarith import (
     cauchy_bound,
     derivative,
     discriminant,
-    divmod_exact,
     eval_at,
-    integer_roots,
     is_irreducible_monic_int,
     isolate_real_roots,
     mul,
+    neg,
     reduce_mod_poly,
     refine_sign_change,
     resultant,
     sign_at_root,
     sturm_chain,
+    sturm_count_halfopen,
     trim,
 )
 from darmonsel.polymod import deg
@@ -156,18 +157,6 @@ def test_sign_at_root_of_zero_polynomial_is_impossible():
         sign_at_root((-2, 0, 1), (-2, 0, 1), *roots[0])
 
 
-@given(COEFFS, COEFFS)
-def test_divmod_exact_reassembles(fc, gc):
-    f = tuple(Fraction(c) for c in fc)
-    g = trim(tuple(Fraction(c) for c in gc))
-    if not g:
-        return
-    q, r = divmod_exact(f, g)
-    assert len(trim(r)) < len(g)
-    recon = polyarith.add(mul(q, g), r)
-    assert trim(recon) == trim(f)
-
-
 def test_reduce_mod_poly_keeps_integers():
     out = reduce_mod_poly((0, 0, 1), (-2, 0, 1))  # theta^2 -> 2
     assert out == (2,)
@@ -175,10 +164,16 @@ def test_reduce_mod_poly_keeps_integers():
     assert reduce_mod_poly((1, 2, 3, 4), (-1, -2, 1, 1)) != ()
 
 
-def test_integer_roots():
-    assert integer_roots((-6, 1, 1)) == [-3, 2]  # x^2 + x - 6
-    assert integer_roots((0, 0, 1)) == [0]
-    assert integer_roots((1, 0, 1)) == []
+@given(POLY_0_5, POLY_0_5.filter(lambda f: deg(f) >= 1))
+def test_reduce_mod_poly_is_sympy_prem_up_to_sign(a, f):
+    # sympy.prem scales by lc(f)^(deg a - deg f + 1); reduce_mod_poly by its
+    # absolute value, so every remainder keeps its sign
+    e = max(deg(a) - deg(f) + 1, 0)
+    sign = -1 if f[-1] < 0 and e % 2 else 1
+    expected = sympy.prem(_sympy_poly(a), _sympy_poly(f)) * sign
+    got = reduce_mod_poly(a, f)
+    assert all(type(c) is int for c in got)
+    assert _sympy_poly(got) == expected, (a, f)
 
 
 @pytest.mark.parametrize("poly,expected", [
@@ -194,9 +189,44 @@ def test_integer_roots():
     ((1, 1, 0, 0, 1), True),           # x^4 + x + 1: no rational root, no
                                        # integer quadratic split
     ((1, 1, 1, 1, 1), True),           # cyclotomic Phi_5
+    # biquadratic fields: irreducible over Q, reducible mod every prime
+    ((1, 0, -10, 0, 1), True),
+    ((1, 0, -4, 0, 1), True),
+    ((9, 0, -10, 0, 1), False),        # (x^2 - 1)(x^2 - 9)
+    ((4, 0, -4, 0, 1), False),         # (x^2 - 2)^2: discriminant 0
+    ((-32589158477190044730, 0, 1), True),  # x^2 - (first 16 primes)
 ])
 def test_is_irreducible_monic_int(poly, expected):
-    assert is_irreducible_monic_int(poly) == expected
+    assert is_irreducible_monic_int(poly, discriminant(poly)) == expected
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def monic_quartics_or_less(draw):
+    """Monic integer polynomials of degree 1-4: plain draws, products of two
+    monic factors, and constant terms with many small prime factors, where
+    a search over the divisors of f(0) would have the most to try."""
+    kind = draw(st.sampled_from(("plain", "product", "smooth")))
+    if kind == "product":
+        left = tuple(draw(st.lists(st.integers(-12, 12), min_size=1, max_size=2)))
+        right = tuple(draw(st.lists(st.integers(-12, 12), min_size=1, max_size=2)))
+        return mul(left + (1,), right + (1,))
+    low = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=4))
+    if kind == "smooth":
+        exponents = draw(st.lists(st.integers(0, 3), min_size=len(SMALL_PRIMES),
+                                  max_size=len(SMALL_PRIMES)))
+        low[0] = draw(st.sampled_from((-1, 1))) * math.prod(
+            q**e for q, e in zip(SMALL_PRIMES, exponents))
+    return tuple(low) + (1,)
+
+
+@given(monic_quartics_or_less())
+@settings(max_examples=400, deadline=None)
+def test_is_irreducible_monic_int_matches_sympy(f):
+    assert is_irreducible_monic_int(f, discriminant(f)) == \
+        _sympy_poly(f).is_irreducible, f
 
 
 def test_cauchy_bound_contains_roots():
@@ -210,6 +240,45 @@ def test_sturm_chain_endpoints():
     chain = sturm_chain((-2, 0, 1))
     assert chain[0] == (-2, 0, 1)
     assert trim(derivative((-2, 0, 1))) == chain[1]
+
+
+def fraction_sturm_chain(f):
+    """The Sturm chain by remainders over Q, each member after f' scaled by
+    the positive lcm of its denominators: the reference for sturm_chain's
+    integer pseudo-remainders."""
+    def remainder(a, b):
+        a = [Fraction(c) for c in a]
+        while len(a) >= len(b):
+            coef = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, y in enumerate(b):
+                a[shift + i] -= coef * y
+            a.pop()
+        return trim(a)
+
+    chain = [tuple(f), derivative(f)]
+    while True:
+        r = remainder(chain[-2], chain[-1])
+        if not r:
+            return chain
+        scale = math.lcm(*(c.denominator for c in r))
+        chain.append(tuple(int(c * scale) for c in neg(r)))
+
+
+@given(POLY_0_5.filter(lambda f: deg(f) >= 1),
+       st.lists(st.tuples(st.integers(-2**12, 2**12), st.integers(0, 2**12),
+                          st.integers(0, 8)), min_size=1, max_size=8))
+@settings(deadline=None)
+def test_sturm_chain_matches_the_fraction_chain(f, cells):
+    chain, reference = sturm_chain(f), fraction_sturm_chain(f)
+    assert len(chain) == len(reference)
+    for u, v in zip(chain, reference):
+        # positive rational multiples of each other
+        assert len(u) == len(v) and u[-1] * v[-1] > 0
+        assert all(u[-1] * y == v[-1] * x for x, y in zip(u, v))
+    for a, span, k in cells:
+        assert (sturm_count_halfopen(chain, a, a + span, k)
+                == sturm_count_halfopen(reference, a, a + span, k))
 
 
 # ---- the real-root kernel against Fraction bisection ----
@@ -258,7 +327,7 @@ def totally_real_polys(draw):
     for r in roots:
         f = mul(f, (-r, 1))
     f = (f[0] + draw(st.sampled_from((-1, 1))),) + f[1:]
-    assume(is_irreducible_monic_int(f))
+    assume(is_irreducible_monic_int(f, discriminant(f)))
     return f
 
 

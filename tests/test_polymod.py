@@ -184,3 +184,40 @@ def test_quadratic_character_matches_euler_over_whole_fields():
                     if a:
                         assert fq_quadratic_character(a, g, p) == \
                             euler_character(a, g, p), (a, g, p)
+
+
+def test_fp_invariants_survive_optimize(run_optimized):
+    out = run_optimized("""
+        import random
+        from darmonsel.errors import InternalInvariant
+        from darmonsel.polyarith import is_irreducible_monic_int
+        from darmonsel.polymod import (_split_quadratic_pair, divmod_poly,
+                                       factor_squarefree_monic_fp,
+                                       hensel_lift_pair)
+        assert False, "asserts must be stripped"
+        cases = [
+            lambda: divmod_poly((1, 2, 3), (), 5),
+            # (x + 1)^2: not squarefree mod 5
+            lambda: factor_squarefree_monic_fp((1, 2, 1), 5),
+            # 2x^2 + 1: not monic mod 5
+            lambda: factor_squarefree_monic_fp((1, 0, 2), 5),
+            # x^5 - x + 1 is irreducible mod 5, past the quartic cap
+            lambda: factor_squarefree_monic_fp((1, 4, 0, 0, 0, 1), 5),
+            # x + 2 does not divide x^2 - 2 mod 7
+            lambda: hensel_lift_pair((-2, 0, 1), (2, 1), 7, 3),
+            # (x + 1)^2 * (x + 2): the pair x + 1, (x + 1)(x + 2) shares x + 1
+            lambda: hensel_lift_pair((2, 5, 4, 1), (1, 1), 7, 3),
+            # x^4 + x + 1 is irreducible mod 2: it has no quadratic factor
+            lambda: _split_quadratic_pair((1, 1, 0, 0, 1), 2, random.Random(0)),
+            lambda: is_irreducible_monic_int((1, 0, 0, 0, 0, 1), 3125),
+            lambda: is_irreducible_monic_int((1, 2), 1),
+        ]
+        for case in cases:
+            try:
+                case()
+                print("no error")
+            except InternalInvariant:
+                print("InternalInvariant")
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["InternalInvariant"] * 9

@@ -45,6 +45,14 @@ def rational_class(delta: int, p: int) -> PlaceType:
     return PlaceType.SPLIT if legendre_by_enumeration(d, p) == 1 else PlaceType.INERT
 
 
+# squares whose roots have coordinates outside Z on the power basis: no
+# residue character certifies a square, so the exact reconstruction decides
+SQUARES_OFF_THE_POWER_BASIS = (
+    ([-8, 0, 1], [2]),   # 2 = (theta/2)^2 with theta^2 = 8
+    ([-12, 0, 1], [3]),  # 3 = (theta/2)^2 with theta^2 = 12
+)
+
+
 def test_make_extension_rejections(F_rat, F_sqrt2):
     with pytest.raises(ZeroDelta):
         make_extension(F_rat, [0])
@@ -55,8 +63,27 @@ def test_make_extension_rejections(F_rat, F_sqrt2):
     with pytest.raises(IsSquare):
         # 3 + 2*theta = (1 + theta)^2 in Q(sqrt2)
         make_extension(F_sqrt2, [3, 2])
+    for f, delta in SQUARES_OFF_THE_POWER_BASIS:
+        with pytest.raises(IsSquare, match="1/2"):
+            make_extension(parse_field(f), delta)
     with pytest.raises(InputError):
         make_extension(F_rat, ["x"])
+
+
+def test_square_off_the_power_basis_survives_optimize(run_optimized):
+    out = run_optimized(f"""
+        from darmonsel.errors import IsSquare
+        from darmonsel.fields import parse_field
+        from darmonsel.quadratic import make_extension
+        assert False, "asserts must be stripped"
+        for f, delta in {SQUARES_OFF_THE_POWER_BASIS!r}:
+            try:
+                make_extension(parse_field(f), delta)
+            except IsSquare:
+                print("IsSquare")
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["IsSquare"] * 2
 
 
 def test_make_extension_refuses_non_integer_delta(F_rat, F_sqrt2):
